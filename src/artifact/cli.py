@@ -441,13 +441,9 @@ _SUITES = {
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--tol", type=float, default=None,
               help="override the default tolerance of every check in the suite")
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="worker bound for oracle sweeps (current orchestration is serial)")
 @_staged
-def verify(suite: str, seed: int, tol: Optional[float], jobs: int) -> None:
+def verify(suite: str, seed: int, tol: Optional[float]) -> None:
     """Run an oracle suite; exit 1 if any check fails."""
-    if jobs < 1:
-        raise click.UsageError("--jobs must be >= 1")
     names = list(_SUITES) if suite == "all" else [suite]
     failed = False
     for name in names:

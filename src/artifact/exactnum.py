@@ -88,9 +88,6 @@ class GaussianRational:
     def __hash__(self):
         return hash((self.re, self.im))
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 
@@ -114,8 +111,3 @@ def _coerce(x):
     if isinstance(x, (int, Fraction)):
         return GaussianRational(x)
     return NotImplemented
-
-
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-I = GaussianRational(0, 1)

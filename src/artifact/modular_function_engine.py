@@ -14,18 +14,22 @@ module finishes the derivation:
      to it once; kinv applies the inverse).  A Delta power on the
      first/second factor becomes a monomial factor s^j1 / t^j2 on the
      integrand.
-  2. ``integrate_dim2`` / ``integrate_dim_m`` produce the exact value of
-     the radial integral as a ``SymbolicFunction``: closed-form partial
-     fractions in dimension 2, the (d/du)^{m/2-2} formula at u = 0 for
-     even dimensions >= 4.  Both fold in the term prefactor, the shift
-     monomial s^j1 t^j2, and the 1/2 coming from the r -> r^2 change of
-     radial variable.
+  2. ``integrate_dim_m`` produces the exact value of the radial integral
+     as a ``SymbolicFunction`` in every even dimension m >= 2.  The
+     family with b0 exponents (p, q, l) is the confluent divided
+     difference (-1)^(P-1) phi_m[1^(p), s^(q), (st)^(l)], P = p + q + l,
+     of phi_2(x) = -log x or phi_m(x) = Gamma(m/2-1) x^(1-m/2) at the
+     modular nodes 1, s, st (Lesch's divided-difference form of the
+     rearrangement lemma, arXiv:1405.0863), computed by ``radial_integral``
+     exactly in QQ(s, t).  The scalar channel is the single node 1 with
+     multiplicity n.  The term prefactor, the shift monomial s^j1 t^j2 and
+     the 1/2 from the r -> r^2 change of radial variable are folded in.
   3. ``derive_curvature`` runs the whole pipeline for a named operator
      and aggregates the three channels -- the coefficient functions of
      (hess k) g^{-1} and (grad k grad k) g^{-1} and the constant on the
      scalar atom -- into a ``CurvatureReport``.
 
-The two-parameter families integrated here are
+The dimension-2 families integrated here are
 
     K_{(p,q)}(s, r)   = r^{p+q-2}   (r+1)^{-p} (s r+1)^{-q}
     H_{(p,q,l)}(s,t,r)= r^{p+q+l-2} (r+1)^{-p} (s r+1)^{-q} (s t r+1)^{-l}
@@ -40,7 +44,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import mpmath as mp
@@ -64,8 +69,7 @@ __all__ = [
     "extract_signature",
     "integrate_dim2",
     "integrate_dim_m",
-    "family_integral_dim2",
-    "family_value_dim_m",
+    "radial_integral",
     "scalar_profile",
     "operator_symbols",
     "derive_curvature",
@@ -83,8 +87,6 @@ class DivergentIntegralError(ArithmeticError):
 
 
 S, T = sp.symbols("s t", positive=True)
-_R = sp.Symbol("r", positive=True)
-_U = sp.Symbol("u")
 
 _BASIS = ("one", "log_s", "log_st")
 
@@ -106,7 +108,7 @@ class SymbolicFunction:
     Equality is decided exactly (cancel of the cross-difference per tag).
     """
 
-    __slots__ = ("parts", "_fns")
+    __slots__ = ("parts", "_fns", "_uses_t")
 
     def __init__(self, parts: Optional[Mapping[str, sp.Expr]] = None):
         cleaned: Dict[str, sp.Expr] = {}
@@ -116,6 +118,7 @@ class SymbolicFunction:
             cleaned[tag] = sp.cancel(sp.together(expr))
         self.parts = cleaned
         self._fns = None
+        self._uses_t = None
 
     @classmethod
     def zero(cls) -> "SymbolicFunction":
@@ -188,28 +191,48 @@ class SymbolicFunction:
 
     # numeric evaluation ----------------------------------------------------
 
+    def uses_t(self) -> bool:
+        """Whether t occurs in a part; if not, only s = 1 is removable."""
+        if self._uses_t is None:
+            self._uses_t = any(T in part.free_symbols for part in self.parts.values())
+        return self._uses_t
+
     def _eval_mp(self, sv, tv):
         if self._fns is None:
+            # Horner forms need fewer mpf operations than the expanded parts
+            # (the limit path runs at 90 digits); a zero part skips its log
             self._fns = tuple(
-                sp.lambdify((S, T), self.parts[tag], modules="mpmath")
-                for tag in _BASIS
+                sp.lambdify((S, T), sp.horner(num) / sp.horner(den), modules="mpmath")
+                if num != 0 else None
+                for num, den in (sp.fraction(self.parts[tag]) for tag in _BASIS)
             )
         f1, fs, fst = self._fns
-        return f1(sv, tv) + fs(sv, tv) * mp.log(sv) + fst(sv, tv) * mp.log(sv * tv)
+        value = f1(sv, tv) if f1 else mp.mpf(0)
+        if fs:
+            value += fs(sv, tv) * mp.log(sv)
+        if fst:
+            value += fst(sv, tv) * mp.log(sv * tv)
+        return value
 
 
 def eval_function(f: SymbolicFunction, s: float, t: float = 1.0) -> float:
     """Numeric value of f at (s, t); near the removable set {s=1, t=1,
-    st=1} a 4-point polynomial limit along the ray (s(1+e), t(1+e)) is
-    used instead of direct substitution."""
+    st=1} (only s = 1 when t occurs in no part of f) a 4-point polynomial
+    limit along the ray (s(1+e), t(1+e)) is used instead of direct
+    substitution."""
     if s <= 0 or t <= 0:
         raise ValueError("usage: eval_function requires s > 0 and t > 0")
     with mp.workdps(60):
         sv = mp.mpf(s)
         tv = mp.mpf(t)
-        gap = min(abs(sv - 1), abs(tv - 1), abs(sv * tv - 1))
+        gap = abs(sv - 1)
+        if f.uses_t():
+            gap = min(gap, abs(tv - 1), abs(sv * tv - 1))
         if gap >= mp.mpf("1e-4"):
             return float(f._eval_mp(sv, tv))
+    # at the smallest step the seventh-order pole (s-1)^2 (t-1)^2 (st-1)^3 of
+    # the dim-2 G cancels about 41 digits, so the limit runs at 90
+    with mp.workdps(90):
         eps = [mp.mpf("1e-5") * mp.mpf(2) ** (-i) for i in range(4)]
         vals = [f._eval_mp(sv * (1 + e), tv * (1 + e)) for e in eps]
         # Neville tableau evaluated at e = 0
@@ -254,7 +277,6 @@ class TermSignature:
         return "scalar"
 
 
-_POST_SPHERE_SCALARS = {"Xi2"}
 _RHO_KINDS = {"GradK", "HessK"}
 
 
@@ -368,85 +390,63 @@ def extract_signature(term: NCMonomial) -> TermSignature:
 
 
 # --------------------------------------------------------------------------
-# radial integration, dimension 2: exact partial fractions
+# radial integration: one confluent divided difference per family
 
 
-def _pole_list(exponents: Sequence[int]) -> List[Tuple[sp.Expr, int]]:
-    """(coefficient c, multiplicity) for each factor (c*r + 1)^-mult."""
-    scales = (sp.Integer(1), S, S * T)
-    out = []
-    for c, mult in zip(scales, exponents):
-        if mult < 0:
-            raise SignatureError("unsupported signature: negative block exponent")
-        if mult:
-            out.append((c, mult))
-    return out
+_FIELD, _FS, _FT = sp.field((S, T), sp.QQ)  # exact rational functions of (s, t)
+_NODES = (_FIELD.one, _FS, _FS * _FT)  # the modular nodes 1, s, st
 
 
-def _radial_partial_fractions(exponents: Sequence[int]) -> SymbolicFunction:
-    """Exact value of int_0^oo r^(P-2) * prod (c_i r+1)^(-m_i) dr, P = sum m_i.
+def _taylor(node: int, n: int, m: int) -> Tuple:
+    """phi_m^(n)(x)/n! at x = _NODES[node] on the basis (1, log s, log st),
+    with phi_2(x) = -log x and phi_m(x) = Gamma(m/2-1) x^(1-m/2)."""
+    x, half = _NODES[node], m // 2
+    out = [_FIELD.zero] * 3
+    if m > 2:
+        out[0] = (-1) ** n * factorial(half - 2) * comb(n + half - 2, n) * x ** (1 - half - n)
+    elif n:
+        out[0] = (-1) ** n / (n * x**n)
+    elif node:  # -log 1 = 0; -log s and -log(st) land on their basis tags
+        out[node] = -_FIELD.one
+    return tuple(out)
 
-    The poles -1/c_i are pairwise distinct once s, t are treated as
-    transcendentals.  Simple-pole residues must sum to zero (the log R
-    divergences cancel); the finite log parts land on log s and log(st).
-    """
-    poles = _pole_list(exponents)
-    total = sum(m for _, m in poles)
-    if total < 2:
-        raise DivergentIntegralError(
-            "divergent integral: block exponents sum below 2"
-        )
-    scale = sp.prod([c**m for c, m in poles])  # from (c r+1) = c (r + 1/c)
-    roots = [(-1 / c, m) for c, m in poles]
-    base = _R ** (total - 2) / scale
-    for rho, m in roots:
-        base = base / (_R - rho) ** m
 
-    one_part = sp.Integer(0)
-    simple: List[Tuple[sp.Expr, sp.Expr]] = []  # (root, residue of 1/(r - root))
-    for i, (rho, m) in enumerate(roots):
-        g = sp.cancel(base * (_R - rho) ** m)
-        for j in range(m, 0, -1):
-            coeff = sp.cancel(
-                sp.diff(g, _R, m - j).subs(_R, rho) / factorial(m - j)
-            )
-            if j >= 2:
-                # [ (r-rho)^(1-j)/(1-j) ]_0^oo = (-rho)^(1-j)/(j-1)
-                one_part += coeff * (-rho) ** (1 - j) / (j - 1)
-            else:
-                simple.append((rho, coeff))
-
-    residue_sum = sp.cancel(sum(c for _, c in simple))
-    if residue_sum != 0:
-        raise DivergentIntegralError(
-            "divergent integral: simple-pole residues do not cancel "
-            f"(sum {residue_sum})"
-        )
-    # finite part of sum c_i log(r - rho_i) from 0 to oo is -sum c_i log(-rho_i);
-    # the roots are -1, -1/s, -1/(s t), so the logs land on log s and log(st).
-    log_s_part = sp.Integer(0)
-    log_st_part = sp.Integer(0)
-    for rho, c in simple:
-        arg = sp.cancel(-rho)
-        if arg == 1:
-            continue
-        if arg == 1 / S:
-            log_s_part += c
-        elif arg == 1 / (S * T):
-            log_st_part += c
-        else:  # pragma: no cover - pole table is fixed above
-            raise DivergentIntegralError(f"divergent integral: unexpected pole {rho}")
-    return SymbolicFunction(
-        {"one": one_part, "log_s": log_s_part, "log_st": log_st_part}
+@lru_cache(maxsize=None)
+def _divided_difference(mults: Tuple[int, int, int], m: int) -> Tuple:
+    """phi_m[1^(p), s^(q), (st)^(l)] for mults = (p, q, l), by
+    f[..] = (f[drop x_i] - f[drop x_j]) / (x_j - x_i) down to one node."""
+    present = [i for i in range(3) if mults[i]]
+    if len(present) == 1:
+        return _taylor(present[0], mults[present[0]] - 1, m)
+    i, j = present[0], present[1]
+    drop_i = tuple(e - (k == i) for k, e in enumerate(mults))
+    drop_j = tuple(e - (k == j) for k, e in enumerate(mults))
+    gap = _NODES[j] - _NODES[i]
+    return tuple(
+        (a - b) / gap
+        for a, b in zip(_divided_difference(drop_i, m), _divided_difference(drop_j, m))
     )
 
 
-def family_integral_dim2(exponents: Sequence[int]) -> SymbolicFunction:
-    """int_0^oo K_(p,q) dr or int_0^oo H_(p,q,l) dr, exactly (no prefactor,
-    no shift monomial, no measure 1/2)."""
-    if len(exponents) not in (2, 3):
-        raise SignatureError("family exponents must be (p, q) or (p, q, l)")
-    return _radial_partial_fractions(tuple(exponents))
+def radial_integral(exponents: Sequence[int], m: int) -> SymbolicFunction:
+    """The radial family with b0 exponents (p[, q[, l]]) in even dimension m:
+    (-1)^(P-1) phi_m[1^(p), s^(q), (st)^(l)], P = p + q + l.
+
+    At m = 2 this is int_0^oo r^(P-2) (r+1)^-p (s r+1)^-q (s t r+1)^-l dr;
+    no prefactor, shift monomial or measure 1/2 is folded in.
+    """
+    if m < 2 or m % 2:
+        raise ValueError("usage: the radial families need even m >= 2")
+    if len(exponents) not in (1, 2, 3):
+        raise SignatureError("family exponents must have 1, 2, or 3 entries")
+    if min(exponents) < 0:
+        raise SignatureError("unsupported signature: negative block exponent")
+    total = sum(exponents)
+    if total < 2:
+        raise DivergentIntegralError("divergent integral: block exponents sum below 2")
+    sign = (-1) ** (total - 1)
+    value = _divided_difference(tuple(exponents) + (0,) * (3 - len(exponents)), m)
+    return SymbolicFunction({tag: sign * v.as_expr() for tag, v in zip(_BASIS, value)})
 
 
 def _shift_monomial(shifts: Sequence[int]) -> sp.Expr:
@@ -456,59 +456,24 @@ def _shift_monomial(shifts: Sequence[int]) -> sp.Expr:
     return mono
 
 
-def integrate_dim2(sig: TermSignature) -> SymbolicFunction:
-    """Exact dim-2 radial integral of one signature, times its prefactor,
+def integrate_dim_m(sig: TermSignature, m: int) -> SymbolicFunction:
+    """Exact dim-m radial integral of one signature, times its prefactor,
     shift monomial s^j1 t^j2, and the measure 1/2."""
     pre = sp.Rational(sig.prefactor) / 2 * _shift_monomial(sig.modular_shifts)
-    if sig.channel == "scalar":
-        # int_0^oo r^(n-2) (r+1)^(-n) dr = Beta(n-1, 1) = 1/(n-1)
-        n = sig.b0_exponents[0]
-        return SymbolicFunction({"one": pre * sp.Rational(1, n - 1)})
-    return _radial_partial_fractions(sig.b0_exponents).scaled(pre)
+    return radial_integral(sig.b0_exponents, m).scaled(pre)
 
 
-# --------------------------------------------------------------------------
-# radial integration, even dimension >= 4: u-derivative formula
-
-
-def family_value_dim_m(exponents: Sequence[int], m: int) -> sp.Expr:
-    """K~ or H~ at even dimension m >= 4:
-    (d/du)^{m/2-2} at u=0 of (1-u)^-p (s-u)^-q [(s t-u)^-l]."""
-    if m < 4 or m % 2:
-        raise ValueError("usage: the u-derivative families need even m >= 4")
-    if len(exponents) not in (1, 2, 3):
-        raise SignatureError("family exponents must have 1, 2, or 3 entries")
-    bases = (sp.Integer(1) - _U, S - _U, S * T - _U)
-    expr = sp.Integer(1)
-    for b, e in zip(bases, exponents):
-        expr *= b ** (-e)
-    return sp.cancel(sp.diff(expr, _U, m // 2 - 2).subs(_U, 0))
-
-
-def integrate_dim_m(sig: TermSignature, m: int) -> SymbolicFunction:
-    """Dim-m (even, >= 4) analogue of integrate_dim2: prefactor * s^j1 t^j2
-    * 1/2 * the u-derivative family value."""
-    if m < 4 or m % 2:
-        raise ValueError("usage: integrate_dim_m needs even m >= 4")
-    pre = sp.Rational(sig.prefactor) / 2 * _shift_monomial(sig.modular_shifts)
-    if sig.channel == "scalar":
-        # both poles pinned at 1: (1-u)^-(n-1) (s-u)^-1 at s = 1
-        n = sig.b0_exponents[0]
-        value = family_value_dim_m((n,), m)
-    else:
-        value = family_value_dim_m(sig.b0_exponents, m)
-    return SymbolicFunction({"one": sp.cancel(pre * value)})
+def integrate_dim2(sig: TermSignature) -> SymbolicFunction:
+    # perfbench/spans.py (LAYERS) wraps this name; `--trace 1` raises
+    # AttributeError without it
+    return integrate_dim_m(sig, 2)
 
 
 def scalar_profile(m: int) -> SymbolicFunction:
     """The scalar-channel profile F(s) = (1/2) * [K_(2,1) family](s):
     the modular function multiplying the scalar atom before the 2/(3m)
     weight.  F(1) = (m/2)!/4 for every even m."""
-    if m == 2:
-        return family_integral_dim2((2, 1)).scaled(sp.Rational(1, 2))
-    return SymbolicFunction(
-        {"one": family_value_dim_m((2, 1), m) / 2}
-    )
+    return radial_integral((2, 1), m).scaled(sp.Rational(1, 2))
 
 
 # --------------------------------------------------------------------------
@@ -624,7 +589,7 @@ def derive_curvature(m: int, operator: str) -> CurvatureReport:
                 f"unsupported signature: channel {sig.channel} carries k power "
                 f"{final_k}, expected {expected}"
             )
-        value = integrate_dim2(sig) if m == 2 else integrate_dim_m(sig, m)
+        value = integrate_dim_m(sig, m)
         if sig.channel == "hess":
             K = K + value
         elif sig.channel == "gradgrad":
@@ -684,7 +649,7 @@ def dim2_quadrature_decomposition(which: str) -> Tuple[
     the half measure folded in, modular shifts); the channel value at (s, t)
     is sum prefactor * s^j1 [* t^j2] * integral of the radial family.  This
     feeds the independent quadrature cross-check, bypassing the symbolic
-    partial-fraction integration entirely.
+    divided-difference integration entirely.
     """
     if which not in ("K", "G"):
         raise ValueError("usage: which must be K or G")

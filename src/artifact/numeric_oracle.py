@@ -4,8 +4,8 @@ Three oracles, none of which shares code with the exact derivation:
 
 * ``quad_r_integral`` -- adaptive quadrature of the radial family
   integrands K_(p,q) / H_(p,q,l) on (0, oo), mapped to (0, 1) by
-  r = u/(1-u).  Cross-checks the closed forms of the partial-fraction
-  integrator.
+  r = u/(1-u).  Cross-checks the closed forms of the divided-difference
+  integrator ``radial_integral``.
 
 * ``matrix_rearrangement_check`` -- a finite-dimensional spectral model
   of the rearrangement step.  For a random positive matrix k the operator
@@ -49,7 +49,7 @@ from .modular_function_engine import (
     SymbolicFunction,
     derive_curvature,
     eval_function,
-    family_integral_dim2,
+    radial_integral,
 )
 
 __all__ = [
@@ -134,10 +134,6 @@ def quad_r_integral(exponents: Sequence[int], s: float, t: float = 1.0,
 # finite-matrix spectral oracle
 
 
-def _closed_family(exps: Tuple[int, ...]) -> SymbolicFunction:
-    return family_integral_dim2(exps)
-
-
 def matrix_rearrangement_check(dim: int, seed: int, exponents: Sequence[int],
                                s_shift: bool = False,
                                spec: Optional[QuadratureSpec] = None,
@@ -174,7 +170,7 @@ def matrix_rearrangement_check(dim: int, seed: int, exponents: Sequence[int],
         kappa = np.asarray(eigenvalues, dtype=float)
         if kappa.shape != (dim,) or np.any(kappa <= 0):
             raise ValueError("eigenvalues must be dim positive numbers")
-    closed = _closed_family(exps)
+    closed = radial_integral(exps, 2)
 
     worst = 0.0
     if len(exps) == 2:
@@ -227,19 +223,6 @@ def _exp_coeffs(k: int, length: int) -> List[Fraction]:
     out = [Fraction(1)]
     for n in range(1, length):
         out.append(out[-1] * k / n)
-    return out
-
-
-def _series_mul(a: List[Fraction], b: List[Fraction], length: int) -> List[Fraction]:
-    out = [Fraction(0)] * length
-    for i, ai in enumerate(a):
-        if not ai or i >= length:
-            continue
-        for j, bj in enumerate(b):
-            if i + j >= length:
-                break
-            if bj:
-                out[i + j] += ai * bj
     return out
 
 

@@ -21,7 +21,6 @@ Nabla2Xi2   second horizontal derivative of Xi2 (2 covariant slots)
 Nabla3L     third derivative of the phase (3 covariant slots, odd)
 Ginv        inverse metric (2 contravariant slots)
 SDelta      base scalar curvature
-P1, P0      opaque lower-order symbols (only used when not expanded)
 
 Commutation: the fiber-central atoms (Xi2, Lambda, DXi2, D2Xi2, Nabla2Xi2,
 Nabla3L, Ginv, SDelta) commute with everything; b0, k, kinv commute with each
@@ -59,8 +58,6 @@ _KIND_TABLE: Dict[str, Tuple[int, Optional[str], int, int, str]] = {
     "kinv": (0, None, 0, 0, "kfactor"),
     "GradK": (1, "cov", 0, 0, "rho"),
     "HessK": (2, "cov", 0, 0, "rho"),
-    "P1": (0, None, 1, 1, "rho"),
-    "P0": (0, None, 0, 0, "rho"),
     "Xi2": (0, None, 2, 0, "central"),
     "Lambda": (0, None, 2, 0, "central"),
     # internal first-jet seed of Xi2 in a base direction; vanishes at the

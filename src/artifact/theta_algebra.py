@@ -222,10 +222,7 @@ def deformed_product(a: FourierElement, b: FourierElement, theta: SkewMatrix) ->
 
 def star(a: FourierElement) -> FourierElement:
     """Adjoint: coefficient at -r is the conjugate of the coefficient at r."""
-    if a.mode == "exact":
-        out = {tuple(-x for x in idx): c.conjugate() for idx, c in a.coeffs.items()}
-    else:
-        out = {tuple(-x for x in idx): c.conjugate() for idx, c in a.coeffs.items()}
+    out = {tuple(-x for x in idx): c.conjugate() for idx, c in a.coeffs.items()}
     return FourierElement(a.n, out, a.mode)
 
 

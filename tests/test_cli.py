@@ -196,11 +196,6 @@ def test_verify_failure_exits_one(runner):
     assert any(line.endswith("FAIL") for line in result.output.splitlines())
 
 
-def test_verify_rejects_bad_jobs(runner):
-    result = runner.invoke(cli.main, ["verify", "--jobs", "0"])
-    assert result.exit_code == 2
-
-
 def test_internal_error_reports_stage_and_exits_three(runner, monkeypatch):
     def boom(dim, operator):
         raise RuntimeError("synthetic failure")

@@ -4,6 +4,7 @@ report serialization, and numeric evaluation."""
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +21,9 @@ from artifact.modular_function_engine import (
     dim2_quadrature_decomposition,
     eval_function,
     extract_signature,
-    family_integral_dim2,
-    family_value_dim_m,
     integrate_dim2,
     integrate_dim_m,
+    radial_integral,
     scalar_profile,
 )
 from artifact.numeric_oracle import quad_r_integral
@@ -105,7 +105,7 @@ def test_signature_rejects_unaveraged_vertical_atoms():
 
 
 def test_log_family_value():
-    f = family_integral_dim2((1, 1))
+    f = radial_integral((1, 1), 2)
     assert sp.simplify(f.parts["log_s"] - 1 / (S - 1)) == 0
     assert sp.simplify(f.parts["one"]) == 0
     assert sp.simplify(f.parts["log_st"]) == 0
@@ -114,13 +114,18 @@ def test_log_family_value():
 
 
 def test_beta_family_value():
-    f = family_integral_dim2((2, 1))
+    f = radial_integral((2, 1), 2)
     assert abs(eval_function(f, 1.0) - 0.5) < 1e-10
 
 
 def test_divergent_family_rejected():
     with pytest.raises(DivergentIntegralError):
-        family_integral_dim2((1, 0))
+        radial_integral((1, 0), 2)
+
+
+def test_negative_exponent_rejected():
+    with pytest.raises(SignatureError):
+        radial_integral((3, -1), 2)
 
 
 def test_every_dim2_piece_matches_quadrature_at_random_points():
@@ -128,7 +133,7 @@ def test_every_dim2_piece_matches_quadrature_at_random_points():
     pieces = dim2_quadrature_decomposition("K") + dim2_quadrature_decomposition("G")
     assert len(pieces) >= 5
     for exps, coeff, shifts in pieces:
-        f = family_integral_dim2(exps)
+        f = radial_integral(exps, 2)
         for _ in range(25):
             s = float(rng.uniform(0.05, 20.0))
             t = float(rng.uniform(0.05, 20.0)) if len(exps) == 3 else 1.0
@@ -140,7 +145,7 @@ def test_every_dim2_piece_matches_quadrature_at_random_points():
 def test_integrate_folds_prefactor_shift_and_half_measure():
     sig = sig_of("1 * b0^2 * k * GradK[a] * b0^2 * k * GradK[b] * b0 * Xi2^3 * Ginv[a,b]")
     value = integrate_dim2(sig)
-    raw = family_integral_dim2((2, 2, 1))
+    raw = radial_integral((2, 2, 1), 2)
     s, t = 1.7, 0.6
     assert abs(eval_function(value, s, t)
                - 0.5 * s * eval_function(raw, s, t)) < 1e-12
@@ -151,26 +156,28 @@ def test_integrate_folds_prefactor_shift_and_half_measure():
 
 
 def test_dim4_family_values():
-    assert sp.simplify(family_value_dim_m((3, 1), 4) - 1 / S) == 0
-    assert sp.simplify(family_value_dim_m((1, 1), 4) - 1 / S) == 0
-    assert sp.simplify(family_value_dim_m((2, 2, 1), 4) - 1 / (S**3 * T)) == 0
+    assert radial_integral((3, 1), 4) == SymbolicFunction({"one": 1 / S})
+    assert radial_integral((1, 1), 4) == SymbolicFunction({"one": 1 / S})
+    assert radial_integral((2, 2, 1), 4) == SymbolicFunction({"one": 1 / (S**3 * T)})
 
 
 def test_dim6_derivative_oracle():
-    val = family_value_dim_m((2, 1), 6)
-    assert sp.simplify(val.subs(S, 1)) == 3
+    val = radial_integral((2, 1), 6)
+    assert val.parts["log_s"] == 0 and val.parts["log_st"] == 0
+    assert sp.simplify(val.parts["one"].subs(S, 1)) == 3
 
 
-def test_integrate_dim_m_requires_even_dimension_at_least_four():
+def test_integrate_dim_m_requires_even_dimension():
     sig = sig_of("1 * b0^2 * k * HessK[a,b] * b0 * Xi2 * Ginv[a,b]")
-    with pytest.raises(ValueError):
-        integrate_dim_m(sig, 2)
+    assert integrate_dim_m(sig, 2) == integrate_dim2(sig)
     with pytest.raises(ValueError):
         integrate_dim_m(sig, 5)
+    with pytest.raises(ValueError):
+        integrate_dim_m(sig, 0)
 
 
 def test_scalar_limit_ladder():
-    # F(1) = (m/2)!/4: the derivative formula is positive at every even m
+    # F(1) = (m/2)!/4: phi_m is convex, so the ladder is positive at every even m
     expected = {2: 0.25, 4: 0.5, 6: 1.5, 8: 6.0}
     for m, want in expected.items():
         f = scalar_profile(m)
@@ -246,6 +253,16 @@ def test_nc4tori_closed_forms_and_notes():
     assert "recorded" in joined
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_reports_match_golden_json_byte_for_byte():
+    for m, operator in [(2, "kdelta"), (4, "kdelta"), (6, "kdelta"), (4, "nc4tori"),
+                        (8, "kdelta")]:
+        want = (GOLDEN / f"{operator}-{m}.json").read_text()
+        assert derive_curvature(m, operator).to_json() == want, (m, operator)
+
+
 def test_k_prefactor_power_pattern():
     for m, operator in [(2, "kdelta"), (4, "kdelta"), (6, "kdelta"), (4, "nc4tori")]:
         report = derive_curvature(m, operator)
@@ -305,6 +322,29 @@ def test_eval_limit_fills_the_diagonal():
         assert abs(direct - nudged) < 1e-6
 
 
+def test_eval_dim2_G_corner_is_exact():
+    # the limit at (1, 1) cancels a seventh-order pole; at 60 digits it
+    # returned -0.08333333333333767
+    report = derive_curvature(2, "kdelta")
+    assert eval_function(report.G, 1.0, 1.0) == -1.0 / 12.0
+
+
+def test_eval_of_t_free_function_ignores_t(monkeypatch):
+    # K does not depend on t, so t = 1 is not on its removable set
+    report = derive_curvature(2, "kdelta")
+    calls = []
+    original = SymbolicFunction._eval_mp
+
+    def counting(self, sv, tv):
+        calls.append((sv, tv))
+        return original(self, sv, tv)
+
+    monkeypatch.setattr(SymbolicFunction, "_eval_mp", counting)
+    at_one = eval_function(report.K, 2.3, 1.0)
+    assert len(calls) == 1
+    assert at_one == eval_function(report.K, 2.3, 1.5)
+
+
 def test_eval_rejects_nonpositive_arguments():
     report = derive_curvature(2, "kdelta")
     with pytest.raises(ValueError):
@@ -314,7 +354,7 @@ def test_eval_rejects_nonpositive_arguments():
 
 
 def test_symbolic_function_equality_and_zero():
-    f = family_integral_dim2((1, 1))
+    f = radial_integral((1, 1), 2)
     g = SymbolicFunction({"log_s": sp.Rational(1, 1) / (S - 1)})
     assert f == g
     assert (f - g).is_zero()
