@@ -7,16 +7,9 @@ order column shows it collapsing as the functional-calculus order grows.
 """
 
 import argparse
-import math
 
-from artifact.theta_algebra import FourierElement, SkewMatrix
-from artifact.numeric_oracle import gauss_bonnet_residual
-
-THETAS = [0.0, 0.3333333333333333, 1.0 / math.sqrt(2.0)]
-
-
-def cos_mode(amp: float) -> FourierElement:
-    return FourierElement(2, {(1, 0): amp + 0j, (-1, 0): amp + 0j}, mode="float")
+from artifact.theta_algebra import SkewMatrix
+from artifact.numeric_oracle import GB_THETAS, cos_mode, gauss_bonnet_residual
 
 
 def main() -> None:
@@ -29,7 +22,7 @@ def main() -> None:
     orders = [int(x) for x in args.orders.split(",")]
     amps = [float(x) for x in args.amps.split(",")]
     print(f"{'theta':>10} {'amp':>7} {'order':>5} {'residual':>12}")
-    for theta in THETAS:
+    for _, theta in GB_THETAS:
         skew = SkewMatrix.standard_2d(theta)
         for amp in amps:
             h = cos_mode(amp)

@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import sys
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 import click
 import numpy as np
@@ -36,17 +35,13 @@ from .cosphere_integrator import (
     sphere_average,
 )
 from .modular_function_engine import (
+    UsageError,
     derive_curvature,
+    dim2_quadrature_decomposition,
     eval_function,
     operator_symbols,
 )
 from . import numeric_oracle as oracle
-
-_GB_THETAS: Tuple[Tuple[str, float], ...] = (
-    ("zero", 0.0),
-    ("rational", 0.3333333333333333),
-    ("irrational", 1.0 / math.sqrt(2.0)),
-)
 
 _stage = "startup"
 
@@ -65,12 +60,9 @@ def _staged(fn: Callable) -> Callable:
             return fn(*args, **kwargs)
         except (click.ClickException, click.exceptions.Exit, SystemExit):
             raise
-        except ValueError as exc:
-            if str(exc).startswith("usage:"):
-                raise click.UsageError(str(exc)[len("usage:"):].strip())
-            click.echo(f"internal error at stage {_stage}: {exc}", err=True)
-            sys.exit(3)
-        except Exception as exc:  # pragma: no cover - defensive path
+        except UsageError as exc:
+            raise click.UsageError(str(exc))
+        except Exception as exc:
             click.echo(f"internal error at stage {_stage}: {exc}", err=True)
             sys.exit(3)
 
@@ -316,7 +308,7 @@ def _suite_integrals(seed: int, tol: Optional[float]) -> List[Tuple[str, float, 
     for i in range(20):
         s = 10.0 ** (-1 + 2 * i / 19)  # log-spaced across [0.1, 10]
         symbolic = eval_function(report.K, s)
-        quad = _quadrature_channel_value(_dim2_k_quadrature_pieces(), s)
+        quad = _quadrature_channel_value(dim2_quadrature_decomposition("K"), s)
         worst = max(worst, _rel_err(symbolic, quad))
     results.append(("integrals-dim2-K-vs-quadrature", worst,
                     tol if tol is not None else 1e-10))
@@ -325,7 +317,7 @@ def _suite_integrals(seed: int, tol: Optional[float]) -> List[Tuple[str, float, 
     for s in (0.2, 1.0, 2.2, 5.0):
         for t in (0.2, 1.0, 2.2, 5.0):
             symbolic = eval_function(report.G, s, t)
-            quad = _quadrature_channel_value(_dim2_g_quadrature_pieces(), s, t)
+            quad = _quadrature_channel_value(dim2_quadrature_decomposition("G"), s, t)
             worst = max(worst, _rel_err(symbolic, quad))
     results.append(("integrals-dim2-G-vs-quadrature", worst,
                     tol if tol is not None else 1e-9))
@@ -346,18 +338,6 @@ def _suite_integrals(seed: int, tol: Optional[float]) -> List[Tuple[str, float, 
     results.append(("integrals-limit-value-K1", abs(limit - 1.0 / 12.0),
                     tol if tol is not None else 1e-8))
     return results
-
-
-def _dim2_k_quadrature_pieces():
-    from .modular_function_engine import dim2_quadrature_decomposition
-
-    return dim2_quadrature_decomposition("K")
-
-
-def _dim2_g_quadrature_pieces():
-    from .modular_function_engine import dim2_quadrature_decomposition
-
-    return dim2_quadrature_decomposition("G")
 
 
 def _quadrature_channel_value(pieces, s: float, t: float = 1.0) -> float:
@@ -398,29 +378,36 @@ def _suite_matrix(seed: int, tol: Optional[float]) -> List[Tuple[str, float, flo
     return results
 
 
-def _cos_mode(amplitude: float) -> FourierElement:
-    return FourierElement(
-        2, {(1, 0): amplitude + 0j, (-1, 0): amplitude + 0j}, mode="float"
-    )
+# Fourier support cap of every Gauss-Bonnet residual the CLI computes.  The
+# four modes (+-1, 0), (0, +-1) reach at most 459 modes up to the norm limit
+# |h|_1 = 0.2 (about 35 s for the three theta on a 2-core machine); wider
+# exponents exit 3 with a support-overflow message instead of running for
+# minutes, since every deformed product costs O(modes^2).
+_GB_SUPPORT_CAP = 500
 
 
-def _suite_gauss_bonnet(seed: int, tol: Optional[float],
-                        h: Optional[FourierElement] = None,
-                        ) -> List[Tuple[str, float, float]]:
+def _gb_residual(h: FourierElement, theta: float) -> float:
+    return oracle.gauss_bonnet_residual(h, SkewMatrix.standard_2d(theta),
+                                        support_cap=_GB_SUPPORT_CAP)
+
+
+def _theta_checks(h: FourierElement, bound: float) -> Iterator[Tuple[str, float, float]]:
+    """One Gauss-Bonnet residual check per theta."""
+    for name, theta in oracle.GB_THETAS:
+        yield f"gauss-bonnet-theta-{name}", _gb_residual(h, theta), bound
+
+
+def _suite_gauss_bonnet(seed: int, tol: Optional[float]) -> List[Tuple[str, float, float]]:
     bound = tol if tol is not None else 1e-6
-    h = h if h is not None else _cos_mode(0.05)
-    results = []
-    for name, theta in _GB_THETAS:
-        residual = oracle.gauss_bonnet_residual(h, SkewMatrix.standard_2d(theta))
-        results.append((f"gauss-bonnet-theta-{name}", residual, bound))
+    results = list(_theta_checks(oracle.cos_mode(0.05), bound))
     # quadratic-leading scaling certificate on a fixed element at the norm
     # precondition boundary, where the residual sits well above fp noise
-    href = _cos_mode(0.1)
-    theta = SkewMatrix.standard_2d(_GB_THETAS[2][1])
-    base = oracle.gauss_bonnet_residual(href, theta)
+    href = oracle.cos_mode(0.1)
+    theta = oracle.GB_THETAS[2][1]
+    base = _gb_residual(href, theta)
     metric = 0.0
     for eps in (0.5, 0.25):
-        scaled = oracle.gauss_bonnet_residual(href.scaled(eps), theta)
+        scaled = _gb_residual(href.scaled(eps), theta)
         metric = max(metric, scaled / max(2 * eps * eps * base, 1e-300))
     results.append(("gauss-bonnet-ratio", metric, 1.0))
     return results
@@ -433,6 +420,17 @@ _SUITES = {
     "matrix": _suite_matrix,
     "gauss-bonnet": _suite_gauss_bonnet,
 }
+
+
+def _print_checks(checks: Iterable[Tuple[str, float, float]]) -> bool:
+    """Print one CHECK line per (name, error, bound) as it arrives; True if
+    any check failed."""
+    failed = False
+    for check, err, bound in checks:
+        ok = err <= bound
+        failed = failed or not ok
+        click.echo(f"CHECK {check} {err:.3e} {bound:.3e} {'PASS' if ok else 'FAIL'}")
+    return failed
 
 
 @main.command()
@@ -448,10 +446,7 @@ def verify(suite: str, seed: int, tol: Optional[float]) -> None:
     failed = False
     for name in names:
         _set_stage(f"verify-{name}")
-        for check, err, bound in _SUITES[name](seed, tol):
-            ok = err <= bound
-            failed = failed or not ok
-            click.echo(f"CHECK {check} {err:.3e} {bound:.3e} {'PASS' if ok else 'FAIL'}")
+        failed = _print_checks(_SUITES[name](seed, tol)) or failed
     if failed:
         sys.exit(1)
 
@@ -475,18 +470,9 @@ def gauss_bonnet(hfile: Optional[str], tol: float) -> None:
         with open(hfile) as fh:
             h = parse_element(fh.read(), 2, mode="float")
     else:
-        h = _cos_mode(0.05)
+        h = oracle.cos_mode(0.05)
     _set_stage("gauss-bonnet-residual")
-    failed = False
-    for name, theta in _GB_THETAS:
-        residual = oracle.gauss_bonnet_residual(h, SkewMatrix.standard_2d(theta))
-        ok = residual <= tol
-        failed = failed or not ok
-        click.echo(
-            f"CHECK gauss-bonnet-theta-{name} {residual:.3e} {tol:.3e} "
-            f"{'PASS' if ok else 'FAIL'}"
-        )
-    if failed:
+    if _print_checks(_theta_checks(h, tol)):
         sys.exit(1)
 
 

@@ -62,6 +62,7 @@ from .cosphere_integrator import sphere_average
 
 __all__ = [
     "SignatureError",
+    "UsageError",
     "DivergentIntegralError",
     "TermSignature",
     "SymbolicFunction",
@@ -82,11 +83,16 @@ class SignatureError(ValueError):
     """A scalar word does not match the recognized integral signatures."""
 
 
+class UsageError(ValueError):
+    """An argument outside an entry point's domain; the CLI exits with 2."""
+
+
 class DivergentIntegralError(ArithmeticError):
     """The log-divergent residues of a radial integral failed to cancel."""
 
 
 S, T = sp.symbols("s t", positive=True)
+_FIELD, _FS, _FT = sp.field((S, T), sp.QQ)  # exact rational functions of (s, t)
 
 _BASIS = ("one", "log_s", "log_st")
 
@@ -100,38 +106,38 @@ OPERATORS = ("kdelta", "nc4tori")
 class SymbolicFunction:
     """Exact function of (s, t) on the basis {1, log s, log(st)}.
 
-    parts maps each basis tag to a rational function of (s, t) with
-    rational coefficients; the represented function is
+    Each basis tag carries a part in QQ(s, t) (``_FIELD``), which the field
+    keeps in lowest terms; the represented function is
 
         parts["one"] + parts["log_s"]*log(s) + parts["log_st"]*log(s*t).
 
-    Equality is decided exactly (cancel of the cross-difference per tag).
+    ``parts`` shows the three parts as sympy expressions.  Equality is
+    field equality of the parts.
     """
 
-    __slots__ = ("parts", "_fns", "_uses_t")
+    __slots__ = ("_parts", "_uses_t", "_fns")
 
-    def __init__(self, parts: Optional[Mapping[str, sp.Expr]] = None):
-        cleaned: Dict[str, sp.Expr] = {}
+    def __init__(self, parts: Optional[Mapping[str, object]] = None):
         src = parts or {}
-        for tag in _BASIS:
-            expr = sp.sympify(src.get(tag, 0))
-            cleaned[tag] = sp.cancel(sp.together(expr))
-        self.parts = cleaned
+        self._parts = tuple(_FIELD(src.get(tag, 0)) for tag in _BASIS)
+        # mono runs over the (s, t) exponent pairs of a numerator or
+        # denominator; set once, since eval_function asks on every call
+        self._uses_t = any(
+            mono[1] for v in self._parts for poly in (v.numer, v.denom) for mono in poly
+        )
         self._fns = None
-        self._uses_t = None
 
-    @classmethod
-    def zero(cls) -> "SymbolicFunction":
-        return cls()
+    @property
+    def parts(self) -> Dict[str, sp.Expr]:
+        return {tag: v.as_expr() for tag, v in zip(_BASIS, self._parts)}
 
     def __add__(self, other: "SymbolicFunction") -> "SymbolicFunction":
         return SymbolicFunction(
-            {tag: self.parts[tag] + other.parts[tag] for tag in _BASIS}
+            {tag: a + b for tag, a, b in zip(_BASIS, self._parts, other._parts)}
         )
 
     def scaled(self, factor) -> "SymbolicFunction":
-        f = sp.sympify(sp.Rational(factor) if isinstance(factor, Fraction) else factor)
-        return SymbolicFunction({tag: f * self.parts[tag] for tag in _BASIS})
+        return SymbolicFunction({tag: v * factor for tag, v in zip(_BASIS, self._parts)})
 
     def __neg__(self) -> "SymbolicFunction":
         return self.scaled(-1)
@@ -140,34 +146,31 @@ class SymbolicFunction:
         return self + (-other)
 
     def is_zero(self) -> bool:
-        return all(self.parts[tag] == 0 for tag in _BASIS)
+        return not any(self._parts)
 
     def __eq__(self, other):
         if not isinstance(other, SymbolicFunction):
             return NotImplemented
-        return all(
-            sp.cancel(sp.together(self.parts[tag] - other.parts[tag])) == 0
-            for tag in _BASIS
-        )
+        return self._parts == other._parts
 
     def __hash__(self):
-        return hash(tuple(self.parts[tag] for tag in _BASIS))
+        return hash(self._parts)
 
     def constant_value(self) -> Fraction:
         """The exact value when the function is a constant; error otherwise."""
-        if self.parts["log_s"] != 0 or self.parts["log_st"] != 0:
+        one, log_s, log_st = self._parts
+        if log_s or log_st:
             raise ValueError("function has log terms, not a constant")
-        c = self.parts["one"]
-        if c.free_symbols:
+        if not (one.numer.is_ground and one.denom.is_ground):
             raise ValueError("function depends on (s, t), not a constant")
-        q = sp.Rational(c)
-        return Fraction(int(q.p), int(q.q))
+        return Fraction(int(one.numer.LC), int(one.denom.LC))  # coprime integers
 
     def combined(self) -> sp.Expr:
+        parts = self.parts
         return (
-            self.parts["one"]
-            + self.parts["log_s"] * sp.log(S)
-            + self.parts["log_st"] * sp.log(S * T)
+            parts["one"]
+            + parts["log_s"] * sp.log(S)
+            + parts["log_st"] * sp.log(S * T)
         )
 
     def render(self) -> str:
@@ -184,7 +187,7 @@ class SymbolicFunction:
         return f"({num_s}) / ({str(den).replace('**', '^')})"
 
     def parts_strings(self) -> Dict[str, str]:
-        return {tag: str(self.parts[tag]).replace("**", "^") for tag in _BASIS}
+        return {tag: str(part).replace("**", "^") for tag, part in self.parts.items()}
 
     def __repr__(self):
         return f"SymbolicFunction({self.render()!r})"
@@ -193,8 +196,6 @@ class SymbolicFunction:
 
     def uses_t(self) -> bool:
         """Whether t occurs in a part; if not, only s = 1 is removable."""
-        if self._uses_t is None:
-            self._uses_t = any(T in part.free_symbols for part in self.parts.values())
         return self._uses_t
 
     def _eval_mp(self, sv, tv):
@@ -204,7 +205,7 @@ class SymbolicFunction:
             self._fns = tuple(
                 sp.lambdify((S, T), sp.horner(num) / sp.horner(den), modules="mpmath")
                 if num != 0 else None
-                for num, den in (sp.fraction(self.parts[tag]) for tag in _BASIS)
+                for num, den in ((v.numer.as_expr(), v.denom.as_expr()) for v in self._parts)
             )
         f1, fs, fst = self._fns
         value = f1(sv, tv) if f1 else mp.mpf(0)
@@ -221,7 +222,7 @@ def eval_function(f: SymbolicFunction, s: float, t: float = 1.0) -> float:
     limit along the ray (s(1+e), t(1+e)) is used instead of direct
     substitution."""
     if s <= 0 or t <= 0:
-        raise ValueError("usage: eval_function requires s > 0 and t > 0")
+        raise UsageError("eval_function requires s > 0 and t > 0")
     with mp.workdps(60):
         sv = mp.mpf(s)
         tv = mp.mpf(t)
@@ -393,7 +394,6 @@ def extract_signature(term: NCMonomial) -> TermSignature:
 # radial integration: one confluent divided difference per family
 
 
-_FIELD, _FS, _FT = sp.field((S, T), sp.QQ)  # exact rational functions of (s, t)
 _NODES = (_FIELD.one, _FS, _FS * _FT)  # the modular nodes 1, s, st
 
 
@@ -436,7 +436,7 @@ def radial_integral(exponents: Sequence[int], m: int) -> SymbolicFunction:
     no prefactor, shift monomial or measure 1/2 is folded in.
     """
     if m < 2 or m % 2:
-        raise ValueError("usage: the radial families need even m >= 2")
+        raise UsageError("the radial families need even m >= 2")
     if len(exponents) not in (1, 2, 3):
         raise SignatureError("family exponents must have 1, 2, or 3 entries")
     if min(exponents) < 0:
@@ -446,20 +446,14 @@ def radial_integral(exponents: Sequence[int], m: int) -> SymbolicFunction:
         raise DivergentIntegralError("divergent integral: block exponents sum below 2")
     sign = (-1) ** (total - 1)
     value = _divided_difference(tuple(exponents) + (0,) * (3 - len(exponents)), m)
-    return SymbolicFunction({tag: sign * v.as_expr() for tag, v in zip(_BASIS, value)})
-
-
-def _shift_monomial(shifts: Sequence[int]) -> sp.Expr:
-    mono = sp.Integer(1)
-    for var, j in zip((S, T), shifts):
-        mono *= var**j
-    return mono
+    return SymbolicFunction({tag: sign * v for tag, v in zip(_BASIS, value)})
 
 
 def integrate_dim_m(sig: TermSignature, m: int) -> SymbolicFunction:
     """Exact dim-m radial integral of one signature, times its prefactor,
     shift monomial s^j1 t^j2, and the measure 1/2."""
-    pre = sp.Rational(sig.prefactor) / 2 * _shift_monomial(sig.modular_shifts)
+    j1, j2 = (sig.modular_shifts + (0, 0))[:2]
+    pre = _FIELD(sig.prefactor / 2) * _FS**j1 * _FT**j2
     return radial_integral(sig.b0_exponents, m).scaled(pre)
 
 
@@ -473,7 +467,7 @@ def scalar_profile(m: int) -> SymbolicFunction:
     """The scalar-channel profile F(s) = (1/2) * [K_(2,1) family](s):
     the modular function multiplying the scalar atom before the 2/(3m)
     weight.  F(1) = (m/2)!/4 for every even m."""
-    return radial_integral((2, 1), m).scaled(sp.Rational(1, 2))
+    return radial_integral((2, 1), m).scaled(Fraction(1, 2))
 
 
 # --------------------------------------------------------------------------
@@ -485,7 +479,7 @@ def operator_symbols(operator: str) -> Dict[str, NCExpression]:
         return {"p2": standard_p2()}
     if operator == "nc4tori":
         return nc4tori_lower_symbols()
-    raise ValueError(f"usage: unknown operator {operator!r}; choose from {OPERATORS}")
+    raise UsageError(f"unknown operator {operator!r}; choose from {OPERATORS}")
 
 
 _CHANNEL_OFFSET = {"hess": 0, "gradgrad": -1, "scalar": 1}
@@ -566,19 +560,15 @@ def derive_curvature(m: int, operator: str) -> CurvatureReport:
     """Run resolvent -> sphere average -> signatures -> radial integrals
     and aggregate the three channels for the requested operator."""
     if m < 2 or m % 2:
-        raise ValueError("usage: dimension must be an even integer >= 2")
-    if operator not in OPERATORS:
-        raise ValueError(
-            f"usage: unknown operator {operator!r}; choose from {OPERATORS}"
-        )
+        raise UsageError("dimension must be an even integer >= 2")
     if operator == "nc4tori" and m != 4:
-        raise ValueError("usage: the nc4tori operator is defined only at dim 4")
+        raise UsageError("the nc4tori operator is defined only at dim 4")
 
     b2 = resolvent_b(2, operator_symbols(operator))
     averaged = sphere_average(b2, m)
 
-    K = SymbolicFunction.zero()
-    G = SymbolicFunction.zero()
+    K = SymbolicFunction()
+    G = SymbolicFunction()
     c_scalar = Fraction(0)
     for term in averaged.terms:
         sig = extract_signature(term)
@@ -652,7 +642,7 @@ def dim2_quadrature_decomposition(which: str) -> Tuple[
     divided-difference integration entirely.
     """
     if which not in ("K", "G"):
-        raise ValueError("usage: which must be K or G")
+        raise UsageError("which must be K or G")
     channel = "hess" if which == "K" else "gradgrad"
     averaged = sphere_average(resolvent_b(2, operator_symbols("kdelta")), 2)
     pieces: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Fraction] = {}

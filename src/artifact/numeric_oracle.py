@@ -24,6 +24,7 @@ Three oracles, none of which shares code with the exact derivation:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -47,6 +48,7 @@ from .modular_function_engine import (
     S,
     T,
     SymbolicFunction,
+    UsageError,
     derive_curvature,
     eval_function,
     radial_integral,
@@ -57,6 +59,8 @@ __all__ = [
     "quad_r_integral",
     "matrix_rearrangement_check",
     "gauss_bonnet_residual",
+    "cos_mode",
+    "GB_THETAS",
     "SupportOverflowError",
 ]
 
@@ -119,7 +123,7 @@ def quad_r_integral(exponents: Sequence[int], s: float, t: float = 1.0,
     if len(exps) not in (2, 3):
         raise ValueError("family must be K(p, q) or H(p, q, l)")
     if s <= 0 or t <= 0:
-        raise ValueError("usage: s and t must be positive")
+        raise UsageError("s and t must be positive")
     total = sum(exps)
     w = total - 2 if r_power is None else r_power
     if total < 2 or w != total - 2 or min(exps) < 0:
@@ -280,11 +284,12 @@ def _ray_taylor(f: SymbolicFunction, ray: Tuple[int, int], order: int,
     # accumulate as Laurent series with a common floor offset
     floor = 0
     acc: Dict[int, Fraction] = {}
+    parts = f.parts
     for tag, lf in log_factor.items():
-        part = f.parts[tag]
+        part = parts[tag]
         if part == 0:
             continue
-        num, den = sp.fraction(sp.cancel(sp.together(part)))
+        num, den = sp.fraction(part)
         ns = _poly_ray_series(num, ray, work)
         ds = _poly_ray_series(den, ray, work)
         off, q = _series_div(ns, ds, work)
@@ -363,6 +368,20 @@ def _dim2_taylor(order: int) -> Tuple[Tuple[Fraction, ...], Tuple[Tuple[int, int
 
 _PRUNE_TOL = 1e-18
 
+# the deformation parameters the residual is swept over
+GB_THETAS: Tuple[Tuple[str, float], ...] = (
+    ("zero", 0.0),
+    ("rational", 0.3333333333333333),
+    ("irrational", 1.0 / math.sqrt(2.0)),
+)
+
+
+def cos_mode(amplitude: float) -> FourierElement:
+    """The line-mode exponent amplitude * (e_(1,0) + e_(-1,0))."""
+    return FourierElement(
+        2, {(1, 0): amplitude + 0j, (-1, 0): amplitude + 0j}, mode="float"
+    )
+
 
 def _prune(elem: FourierElement, cap: int) -> FourierElement:
     kept = {idx: c for idx, c in elem.coeffs.items() if abs(c) >= _PRUNE_TOL}
@@ -405,7 +424,7 @@ def gauss_bonnet_residual(h: FourierElement, theta: SkewMatrix,
     to vanish up to series/support truncation error.
     """
     if h.n != 2 or theta.n != 2:
-        raise ValueError("usage: the Gauss-Bonnet oracle is a rank-2 check")
+        raise UsageError("the Gauss-Bonnet oracle is a rank-2 check")
     if series_order < 1:
         raise ValueError("series_order must be >= 1")
     if support_cap < 1:

@@ -238,3 +238,33 @@ def test_gauss_bonnet_reads_exponent_file_and_fails_tiny_tol(runner, tmp_path):
     assert all(
         line.endswith("FAIL") for line in strict.output.strip().splitlines()
     )
+
+
+AXIS_MODES = ((1, 0), (-1, 0), (0, 1), (0, -1))
+DIAGONAL_MODES = ((1, 1), (-1, -1), (1, -1), (-1, 1))
+
+
+def _exponent_file(tmp_path, modes, amplitude):
+    h = FourierElement(2, {idx: amplitude + 0j for idx in modes}, mode="float")
+    hfile = tmp_path / "h.txt"
+    hfile.write_text(format_element(h))
+    return str(hfile)
+
+
+def test_gauss_bonnet_runs_an_exponent_with_modes_on_both_axes(runner, tmp_path):
+    # theta acts only on such exponents; their supports outgrow 40 modes
+    hfile = _exponent_file(tmp_path, AXIS_MODES, 1e-4)
+    result = runner.invoke(cli.main, ["gauss-bonnet", hfile])
+    assert result.exit_code == 0, result.output
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 3
+    assert all(CHECK_LINE.match(line) and line.endswith("PASS") for line in lines)
+
+
+def test_gauss_bonnet_support_overflow_exits_3(runner, tmp_path):
+    # eight modes at the norm limit |h|_1 = 0.2 outgrow the command's support
+    # cap; the command stops with the overflow instead of running for minutes
+    hfile = _exponent_file(tmp_path, AXIS_MODES + DIAGONAL_MODES, 0.025)
+    result = runner.invoke(cli.main, ["gauss-bonnet", hfile])
+    assert result.exit_code == 3
+    assert "internal error at stage gauss-bonnet-residual: support overflow" in result.stderr

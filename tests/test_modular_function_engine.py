@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from artifact.symbol_engine import parse_expression
 from artifact.modular_function_engine import (
@@ -359,3 +360,34 @@ def test_symbolic_function_equality_and_zero():
     assert f == g
     assert (f - g).is_zero()
     assert not f.is_zero()
+
+
+# random parts built from factors that vanish on the removable set, so that
+# numerators and denominators share factors and the canonical form matters
+_FACTORS = (S, T, S - 1, T - 1, S * T - 1, S + 2 * T, 3 * S - 2)
+_products = st.lists(st.sampled_from(_FACTORS), max_size=3).map(lambda fs: sp.Mul(*fs))
+_coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6).map(
+    lambda q: sp.Rational(q.numerator, q.denominator))
+_terms = st.builds(lambda c, n, d: c * n / d, _coeffs, _products, _products)
+_parts = st.fixed_dictionaries(
+    {tag: st.lists(_terms, max_size=3).map(lambda ts: sp.Add(*ts))
+     for tag in ("one", "log_s", "log_st")})
+
+
+def _canonical(expr) -> str:
+    return str(sp.cancel(sp.together(expr)))
+
+
+@given(p=_parts, q=_parts, c=_coeffs)
+@settings(deadline=None, max_examples=25)
+def test_symbolic_function_parts_are_the_cancelled_expressions(p, q, c):
+    # the golden reports and the benchmark's references print and re-read
+    # these parts, so they must print as sympy's cancel prints
+    f, g = SymbolicFunction(p), SymbolicFunction(q)
+    for tag in p:
+        assert str(f.parts[tag]) == _canonical(p[tag])
+        assert str((f + g).parts[tag]) == _canonical(p[tag] + q[tag])
+        assert str(f.scaled(c).parts[tag]) == _canonical(c * p[tag])
+    assert (f == g) == all(_canonical(p[tag] - q[tag]) == "0" for tag in p)
+    rewritten = SymbolicFunction({tag: sp.expand(sp.together(e)) for tag, e in p.items()})
+    assert rewritten == f and hash(rewritten) == hash(f)
