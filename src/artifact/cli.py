@@ -380,9 +380,9 @@ def _suite_matrix(seed: int, tol: Optional[float]) -> List[Tuple[str, float, flo
 
 # Fourier support cap of every Gauss-Bonnet residual the CLI computes.  The
 # four modes (+-1, 0), (0, +-1) reach at most 459 modes up to the norm limit
-# |h|_1 = 0.2 (about 35 s for the three theta on a 2-core machine); wider
-# exponents exit 3 with a support-overflow message instead of running for
-# minutes, since every deformed product costs O(modes^2).
+# |h|_1 = 0.2 (0.8 s for the three theta on a 2-core machine); wider
+# exponents exit 3 with a support-overflow message, since every deformed
+# product costs O(modes^2).
 _GB_SUPPORT_CAP = 500
 
 
@@ -391,15 +391,19 @@ def _gb_residual(h: FourierElement, theta: float) -> float:
                                         support_cap=_GB_SUPPORT_CAP)
 
 
-def _theta_checks(h: FourierElement, bound: float) -> Iterator[Tuple[str, float, float]]:
+def _theta_checks(h: FourierElement, bound: float, prefix: str = "gauss-bonnet-theta",
+                  ) -> Iterator[Tuple[str, float, float]]:
     """One Gauss-Bonnet residual check per theta."""
     for name, theta in oracle.GB_THETAS:
-        yield f"gauss-bonnet-theta-{name}", _gb_residual(h, theta), bound
+        yield f"{prefix}-{name}", _gb_residual(h, theta), bound
 
 
 def _suite_gauss_bonnet(seed: int, tol: Optional[float]) -> List[Tuple[str, float, float]]:
     bound = tol if tol is not None else 1e-6
     results = list(_theta_checks(oracle.cos_mode(0.05), bound))
+    # theta acts only on an exponent with modes on both axes; on the line
+    # mode the three rows above agree to the last digit
+    results += _theta_checks(oracle.cross_mode(0.025), bound, "gauss-bonnet-cross-theta")
     # quadratic-leading scaling certificate on a fixed element at the norm
     # precondition boundary, where the residual sits well above fp noise
     href = oracle.cos_mode(0.1)

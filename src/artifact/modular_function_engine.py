@@ -154,7 +154,10 @@ class SymbolicFunction:
         return self._parts == other._parts
 
     def __hash__(self):
-        return hash(self._parts)
+        # sympy caches a polynomial's hash and may change the polynomial in
+        # place afterwards, so equal parts can carry different cached hashes
+        return hash(tuple(frozenset(poly.items()) for v in self._parts
+                          for poly in (v.numer, v.denom)))
 
     def constant_value(self) -> Fraction:
         """The exact value when the function is a constant; error otherwise."""

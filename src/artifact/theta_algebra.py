@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple, Union
 
+import numpy as np
+
 from .exactnum import GaussianRational
 
 Index = Tuple[int, ...]
@@ -209,15 +211,85 @@ def deformed_product(a: FourierElement, b: FourierElement, theta: SkewMatrix) ->
     a._check_compatible(b)
     if theta.n != a.n:
         raise RankMismatchError("deformation matrix rank differs from elements")
-    exact = a.mode == "exact"
-    zero = GaussianRational(0) if exact else 0j
+    if a.mode == "float":
+        return _float_product(a, b, theta)
     out: Dict[Index, Coeff] = {}
     for r, ar in a.coeffs.items():
         for s, bs in b.coeffs.items():
             k = tuple(r[i] + s[i] for i in range(a.n))
-            phase = chi(theta, r, s, exact=exact)
-            out[k] = out.get(k, zero) + phase * ar * bs
+            phase = chi(theta, r, s, exact=True)
+            out[k] = out.get(k, GaussianRational(0)) + phase * ar * bs
     return FourierElement(a.n, out, a.mode)
+
+
+def _pairings(theta: SkewMatrix, r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """float(<r, Theta s>) for every row of r against every row of s, rounded
+    as SkewMatrix.pairing rounds it."""
+    entries = [x for row in theta.entries for x in row]
+    if not any(isinstance(x, float) for x in entries):
+        # a rational Theta pairs exactly; float() rounds the quotient once
+        den = math.lcm(*(Fraction(x).denominator for x in entries))
+        num = np.array([int(Fraction(x) * den) for x in entries], dtype=np.int64)
+        return (r @ num.reshape(theta.n, theta.n) @ s.T) / den
+    mat = np.array(entries, dtype=float).reshape(theta.n, theta.n)
+    # pairing's order of terms; the zero terms it skips leave a sum unchanged
+    q = np.zeros((len(r), len(s)))
+    for i in range(theta.n):
+        inner = np.zeros(len(s))
+        for j in range(theta.n):
+            inner = inner + mat[i, j] * s[:, j]
+        q = q + r[:, i:i + 1] * inner
+    return q
+
+
+# a product may always fill a lattice box of this many bins
+_DENSE_BINS = 1 << 16
+
+
+def _float_product(a: FourierElement, b: FourierElement, theta: SkewMatrix) -> FourierElement:
+    """The float deformed product over all |a|*|b| pairs at once, bit for bit
+    the pair loop over chi it replaced (kept as the reference in
+    tests/test_float_product.py): the same phases, complex products in
+    Python's real arithmetic, each target summed in pair order by bincount,
+    and the targets in order of first appearance."""
+    if not a.coeffs or not b.coeffs:
+        return FourierElement.zero(a.n, "float")
+    r = np.array(list(a.coeffs), dtype=np.int64)
+    s = np.array(list(b.coeffs), dtype=np.int64)
+    ac = np.array(list(a.coeffs.values()))[:, None]
+    bc = np.array(list(b.coeffs.values()))[None, :]
+    # chi(r, s) = cmath.exp(1j * pi * q) = cos(pi q) + i sin(pi q)
+    angle = math.pi * _pairings(theta, r, s)
+    cos, sin = np.cos(angle), np.sin(angle)
+    # (chi * a_r) * b_s, each product as (x+iy)(u+iv) = (xu - yv) + i(xv + yu)
+    tre = cos * ac.real - sin * ac.imag
+    tim = cos * ac.imag + sin * ac.real
+    re = (tre * bc.real - tim * bc.imag).ravel()
+    im = (tre * bc.imag + tim * bc.real).ravel()
+
+    # each target r + s gets a bin: its place in the box the targets span, or,
+    # where that box is much larger than the pairs, its rank among them
+    pairs = len(re)
+    low = r.min(axis=0) + s.min(axis=0)
+    extent = r.max(axis=0) + s.max(axis=0) - low + 1
+    bins = math.prod(extent.tolist())
+    if bins <= max(4 * pairs, _DENSE_BINS):
+        stride = np.cumprod(np.concatenate(([1], extent[:0:-1])))[::-1]
+        slot = (((r - low) @ stride)[:, None] + s @ stride).ravel()
+    else:
+        targets = (r[:, None, :] + s[None, :, :]).reshape(pairs, a.n)
+        slot = np.unique(targets, axis=0, return_inverse=True)[1].ravel()
+        bins = int(slot.max()) + 1
+    first = np.full(bins, pairs)
+    np.minimum.at(first, slot, np.arange(pairs))
+    hit = np.flatnonzero(first < pairs)
+    hit = hit[np.argsort(first[hit])]
+    sum_re = np.bincount(slot, re, bins)[hit]
+    sum_im = np.bincount(slot, im, bins)[hit]
+    i, j = np.divmod(first[hit], len(s))
+    keys = (r[i] + s[j]).tolist()
+    coeffs = dict(zip(map(tuple, keys), map(complex, sum_re.tolist(), sum_im.tolist())))
+    return FourierElement(a.n, coeffs, "float")
 
 
 def star(a: FourierElement) -> FourierElement:

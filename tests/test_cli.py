@@ -263,7 +263,7 @@ def test_gauss_bonnet_runs_an_exponent_with_modes_on_both_axes(runner, tmp_path)
 
 def test_gauss_bonnet_support_overflow_exits_3(runner, tmp_path):
     # eight modes at the norm limit |h|_1 = 0.2 outgrow the command's support
-    # cap; the command stops with the overflow instead of running for minutes
+    # cap of 500 modes; lifted, the cap would let them run about 0.9 s per theta
     hfile = _exponent_file(tmp_path, AXIS_MODES + DIAGONAL_MODES, 0.025)
     result = runner.invoke(cli.main, ["gauss-bonnet", hfile])
     assert result.exit_code == 3

@@ -1,6 +1,6 @@
 """Tests for the independent numeric cross-checks.
 
-Covers the three oracle layers: high-precision radial quadrature of the
+Covers the three oracle layers: double-exponential radial quadrature of the
 rational integrand families, the finite-matrix model of the operator
 rearrangement identity, and the spectral-sum Gauss-Bonnet residual that
 adjudicates the sign and normalization of the derived curvature functions.
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from artifact import numeric_oracle as oracle
-from artifact.modular_function_engine import DivergentIntegralError
+from artifact.modular_function_engine import DivergentIntegralError, radial_integral
 from artifact.numeric_oracle import (
     QuadratureSpec,
     SupportOverflowError,
@@ -82,6 +82,19 @@ def test_quadrature_rejects_radial_power_mismatch():
         quad_r_integral((2, 1), 2.0, r_power=2)
 
 
+@pytest.mark.parametrize("s", [1e-9, 1e9])
+def test_quadrature_extreme_scale_matches_the_closed_form(s):
+    # integral of 1/((r+1)(s r+1)) over [0, inf) is log(1/s)/(1-s)
+    exact = math.log(1.0 / s) / (1.0 - s)
+    assert abs(quad_r_integral((1, 1), s) - exact) <= 1e-14 * abs(exact)
+
+
+def test_quadrature_too_shallow_spec_raises():
+    # after one level (step 1/2 in tau) two levels still differ by 16 %
+    with pytest.raises(ArithmeticError, match="refinement exhausted"):
+        quad_r_integral((3, 1, 1), 0.5, 2.0, spec=QuadratureSpec(max_depth=1))
+
+
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=0.0)
@@ -142,11 +155,37 @@ def test_matrix_rearrangement_trivial_spectrum():
 
 
 def test_matrix_rearrangement_monotone_refinement():
+    # the loose spec stops two levels in without raising, at an error well
+    # above the tight spec's, so the two compare genuinely different levels
     loose = QuadratureSpec(abs_tol=1e-3, max_depth=2)
     tight = QuadratureSpec(abs_tol=1e-12, max_depth=8)
-    err_loose = matrix_rearrangement_check(4, 0, (2, 1), spec=loose)
-    err_tight = matrix_rearrangement_check(4, 0, (2, 1), spec=tight)
-    assert err_tight <= err_loose
+    for dim in (4, 6):
+        for seed in range(30):
+            err_loose = matrix_rearrangement_check(dim, seed, (2, 1), spec=loose)
+            err_tight = matrix_rearrangement_check(dim, seed, (2, 1), spec=tight)
+            assert err_tight <= err_loose
+            assert err_loose > 1e-12
+
+
+def _unsigned(exps, m):
+    return radial_integral(exps, m).scaled((-1) ** (sum(exps) - 1))
+
+
+def _swapped_nodes(exps, m):
+    p, q, l = tuple(exps) + (0,) * (3 - len(exps))
+    return radial_integral((p, l, q), m)
+
+
+@pytest.mark.parametrize(
+    "mutant,exponents,s_shift",
+    [(_unsigned, (2, 1, 1), False), (_swapped_nodes, (2, 2, 1), True)],
+    ids=["dropped-sign", "swapped-nodes"],
+)
+def test_matrix_rearrangement_detects_a_mutated_closed_form(monkeypatch, mutant,
+                                                            exponents, s_shift):
+    # (-1)^(P-1) is -1 for P = 4, and swapping s and st changes H_(2,2,1)
+    monkeypatch.setattr(oracle, "radial_integral", mutant)
+    assert matrix_rearrangement_check(6, 0, exponents, s_shift=s_shift) > 1e-6
 
 
 # ---------------------------------------------------------------------------
