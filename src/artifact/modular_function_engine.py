@@ -96,6 +96,9 @@ _FIELD, _FS, _FT = sp.field((S, T), sp.QQ)  # exact rational functions of (s, t)
 
 _BASIS = ("one", "log_s", "log_st")
 
+# a polynomial in (s, t) as its terms ((i, j), c), each c * s^i * t^j
+PolyTerms = Tuple[Tuple[Tuple[int, int], Fraction], ...]
+
 OPERATORS = ("kdelta", "nc4tori")
 
 
@@ -111,8 +114,9 @@ class SymbolicFunction:
 
         parts["one"] + parts["log_s"]*log(s) + parts["log_st"]*log(s*t).
 
-    ``parts`` shows the three parts as sympy expressions.  Equality is
-    field equality of the parts.
+    ``parts`` shows the three parts as sympy expressions and
+    ``fraction_terms`` reads their exact numerator and denominator terms.
+    Equality is field equality of the parts.
     """
 
     __slots__ = ("_parts", "_uses_t", "_fns")
@@ -130,6 +134,13 @@ class SymbolicFunction:
     @property
     def parts(self) -> Dict[str, sp.Expr]:
         return {tag: v.as_expr() for tag, v in zip(_BASIS, self._parts)}
+
+    def fraction_terms(self) -> Dict[str, Tuple[PolyTerms, PolyTerms]]:
+        """Each part's numerator and denominator in lowest terms; a zero part
+        has no numerator terms."""
+        return {tag: tuple(tuple((mono, Fraction(int(c.numerator), int(c.denominator)))
+                                 for mono, c in poly.items()) for poly in (v.numer, v.denom))
+                for tag, v in zip(_BASIS, self._parts)}
 
     def __add__(self, other: "SymbolicFunction") -> "SymbolicFunction":
         return SymbolicFunction(

@@ -32,7 +32,6 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import sympy as sp
 
 from .theta_algebra import (
     FourierElement,
@@ -45,8 +44,7 @@ from .theta_algebra import (
 )
 from .modular_function_engine import (
     DivergentIntegralError,
-    S,
-    T,
+    PolyTerms,
     SymbolicFunction,
     UsageError,
     derive_curvature,
@@ -241,11 +239,6 @@ def matrix_rearrangement_check(dim: int, seed: int, exponents: Sequence[int],
 # exact Taylor data for the functional calculus
 
 
-def _fraction(q: sp.Rational) -> Fraction:
-    q = sp.Rational(q)
-    return Fraction(int(q.p), int(q.q))
-
-
 def _exp_coeffs(k: int, length: int) -> List[Fraction]:
     """Coefficients of e^(k z) in QQ[[z]] up to z^(length-1)."""
     out = [Fraction(1)]
@@ -254,15 +247,12 @@ def _exp_coeffs(k: int, length: int) -> List[Fraction]:
     return out
 
 
-def _poly_ray_series(poly: sp.Expr, ray: Tuple[int, int], length: int) -> List[Fraction]:
-    """Series of P(e^{a z}, e^{b z}) for a polynomial P in (s, t) along the
-    ray (s, t) = (e^{ray0 z}, e^{ray1 z})."""
-    p = sp.Poly(poly, S, T)
+def _poly_ray_series(terms: PolyTerms, ray: Tuple[int, int], length: int) -> List[Fraction]:
+    """Series of P(e^{a z}, e^{b z}) for the polynomial P in (s, t) along
+    the ray (s, t) = (e^{ray0 z}, e^{ray1 z})."""
     out = [Fraction(0)] * length
-    for (ds, dt), coeff in p.terms():
-        k = ray[0] * ds + ray[1] * dt
-        ec = _exp_coeffs(k, length)
-        c = _fraction(coeff)
+    for (ds, dt), c in terms:
+        ec = _exp_coeffs(ray[0] * ds + ray[1] * dt, length)
         for n in range(length):
             out[n] += c * ec[n]
     return out
@@ -308,12 +298,10 @@ def _ray_taylor(f: SymbolicFunction, ray: Tuple[int, int], order: int,
     # accumulate as Laurent series with a common floor offset
     floor = 0
     acc: Dict[int, Fraction] = {}
-    parts = f.parts
-    for tag, lf in log_factor.items():
-        part = parts[tag]
-        if part == 0:
+    for tag, (num, den) in f.fraction_terms().items():
+        if not num:
             continue
-        num, den = sp.fraction(part)
+        lf = log_factor[tag]
         ns = _poly_ray_series(num, ray, work)
         ds = _poly_ray_series(den, ray, work)
         off, q = _series_div(ns, ds, work)

@@ -185,13 +185,7 @@ class NCExpression:
 
     def __mul__(self, other: "NCExpression") -> "NCExpression":
         """Word concatenation, bilinear; right factor labels freshened."""
-        out: List[NCMonomial] = []
-        for t1 in self.terms:
-            used = set(t1.labels())
-            for t2 in other.terms:
-                t2f = _freshen_against(t2, used)
-                out.append(NCMonomial(t1.coeff * t2f.coeff, t1.word + t2f.word))
-        return NCExpression(out)
+        return _mul_sharing(self, other, set())
 
     def is_zero(self) -> bool:
         return not canonicalize(self).terms
@@ -206,19 +200,6 @@ class NCExpression:
 
     def __repr__(self):
         return f"NCExpression({render_expression(self)!r})"
-
-
-def _freshen_against(term: NCMonomial, used: set) -> NCMonomial:
-    mapping: Dict[str, str] = {}
-    counter = 0
-    for lab in term.labels():
-        if lab in used and lab not in mapping:
-            while f"_f{counter}" in used:
-                counter += 1
-            mapping[lab] = f"_f{counter}"
-            used.add(f"_f{counter}")
-            counter += 1
-    return term.relabel(mapping) if mapping else term
 
 
 # --------------------------------------------------------------------------
@@ -373,10 +354,18 @@ _D_RULES: Dict[str, Optional[Callable[[Atom, str], Tuple[GaussianRational, Tuple
     "SDelta": None,
 }
 
+# The first jet of Xi2 survives as GradXi2, so that a second pass turns it
+# into Nabla2Xi2; the point evaluation after the last pass drops whatever
+# still carries GradXi2.  The b0 rule keeps only its term that survives a
+# single pass (the recursion differentiates only the symbols p, which hold
+# no b0).
 _H_RULES: Dict[str, Optional[Callable[[Atom, str], Tuple[GaussianRational, Tuple[Atom, ...]]]]] = {
-    "Xi2": None,
+    "Xi2": lambda a, L: (GaussianRational(1), (Atom("GradXi2", (L,)),)),
+    "GradXi2": lambda a, L: (GaussianRational(1), (Atom("Nabla2Xi2", (a.slots[0], L)),)),
     "Lambda": None,
-    "DXi2": None,  # vanishes at the evaluation point
+    # first jet vanishes at the evaluation point; only p2, which holds no
+    # DXi2, is differentiated twice
+    "DXi2": None,
     "k": lambda a, L: (GaussianRational(1), (Atom("GradK", (L,)),)),
     "GradK": lambda a, L: (GaussianRational(1), (Atom("HessK", (a.slots[0], L)),)),
     "b0": lambda a, L: (
@@ -384,24 +373,6 @@ _H_RULES: Dict[str, Optional[Callable[[Atom, str], Tuple[GaussianRational, Tuple
         (Atom("b0"), Atom("GradK", (L,)), Atom("b0"), Atom("Xi2")),
     ),
 }
-
-# un-evaluated horizontal rules, used only when two horizontal derivatives
-# are iterated inside a_2: the first jet of Xi2 survives as GradXi2 so the
-# second pass can turn it into Nabla2Xi2; anything still carrying GradXi2
-# afterwards is dropped by the point evaluation
-_H_RULES_RAW: Dict[str, Optional[Callable[[Atom, str], Tuple[GaussianRational, Tuple[Atom, ...]]]]] = {
-    "Xi2": lambda a, L: (GaussianRational(1), (Atom("GradXi2", (L,)),)),
-    "GradXi2": lambda a, L: (GaussianRational(1), (Atom("Nabla2Xi2", (a.slots[0], L)),)),
-    "Lambda": None,
-    "k": lambda a, L: (GaussianRational(1), (Atom("GradK", (L,)),)),
-    "GradK": lambda a, L: (GaussianRational(1), (Atom("HessK", (a.slots[0], L)),)),
-}
-
-
-def _evaluate_at_point(e: NCExpression) -> NCExpression:
-    return NCExpression(
-        t for t in e.terms if not any(a.kind == "GradXi2" for a in t.word)
-    )
 
 
 def _leibniz(e: NCExpression, rules, new_label: str, op_name: str) -> NCExpression:
@@ -425,33 +396,20 @@ def _leibniz(e: NCExpression, rules, new_label: str, op_name: str) -> NCExpressi
     return NCExpression(out)
 
 
-def _fresh_label(*exprs: NCExpression) -> str:
-    used = set()
-    for e in exprs:
-        for t in e.terms:
-            used.update(t.labels())
-    i = 0
-    while f"_d{i}" in used:
-        i += 1
-    return f"_d{i}"
+def _vertical(e: NCExpression, *labels: str) -> NCExpression:
+    """Iterated fiber derivative D, one new slot per label."""
+    for label in labels:
+        e = _leibniz(e, _D_RULES, label, "vertical-derivative")
+    return e
 
 
-def vertical_derivative(e: NCExpression, new_label: Optional[str] = None) -> NCExpression:
-    """Fiber-direction derivation D (Leibniz over the word).
-
-    The derivative slot of every produced term gets `new_label` (one fresh
-    label per call is enough because each Leibniz term contains exactly one
-    new slot)."""
-    if new_label is None:
-        new_label = _fresh_label(e)
-    return canonicalize(_leibniz(e, _D_RULES, new_label, "vertical-derivative"))
-
-
-def horizontal_derivative(e: NCExpression, new_label: Optional[str] = None) -> NCExpression:
-    """Base-direction derivation (covariant in the new slot)."""
-    if new_label is None:
-        new_label = _fresh_label(e)
-    return canonicalize(_leibniz(e, _H_RULES, new_label, "horizontal-derivative"))
+def _horizontal(e: NCExpression, *labels: str) -> NCExpression:
+    """Iterated base derivative, one new slot per label, evaluated at the point."""
+    for label in labels:
+        e = _leibniz(e, _H_RULES, label, "horizontal-derivative")
+    return NCExpression(
+        t for t in e.terms if not any(a.kind == "GradXi2" for a in t.word)
+    )
 
 
 # --------------------------------------------------------------------------
@@ -496,30 +454,18 @@ def a_j(j: int, p: NCExpression, q: NCExpression) -> NCExpression:
         return canonicalize(p * q)
     if j == 1:
         lab = "_c0"
-        dp = _leibniz(p, _D_RULES, lab, "vertical-derivative")
-        hq = _leibniz(q, _H_RULES, lab, "horizontal-derivative")
-        out = _mul_sharing(dp, hq, {lab}).scaled(GaussianRational(0, -1))
-        return canonicalize(out)
+        out = _mul_sharing(_vertical(p, lab), _horizontal(q, lab), {lab})
+        return canonicalize(out.scaled(GaussianRational(0, -1)))
     if j == 2:
         l1, l2, l3 = "_c0", "_c1", "_c2"
         half = Fraction(1, 2)
         # first piece: -1/2 D^2 p * grad^2 q  (iterated grad keeps the first
         # jet alive so second-order fiber curvature terms survive)
-        ddp = _leibniz(_leibniz(p, _D_RULES, l1, "vertical-derivative"), _D_RULES, l2, "vertical-derivative")
-        hhq = _evaluate_at_point(
-            _leibniz(
-                _leibniz(q, _H_RULES_RAW, l1, "horizontal-derivative"),
-                _H_RULES_RAW,
-                l2,
-                "horizontal-derivative",
-            )
-        )
-        piece1 = _mul_sharing(ddp, hhq, {l1, l2}).scaled(-half)
+        piece1 = _mul_sharing(_vertical(p, l1, l2), _horizontal(q, l1, l2), {l1, l2}).scaled(-half)
         # second piece: -1/2 (Dp)(D^2 q) contracted into the phase tensor
-        dp = _leibniz(p, _D_RULES, l1, "vertical-derivative")
-        ddq = _leibniz(_leibniz(q, _D_RULES, l2, "vertical-derivative"), _D_RULES, l3, "vertical-derivative")
         phase = NCExpression.from_atoms(1, Atom("Nabla3L", (l1, l2, l3)))
-        piece2 = _mul_sharing(_mul_sharing(dp, ddq, {l1, l2, l3}), phase, {l1, l2, l3}).scaled(-half)
+        dp_ddq = _mul_sharing(_vertical(p, l1), _vertical(q, l2, l3), {l1, l2, l3})
+        piece2 = _mul_sharing(dp_ddq, phase, {l1, l2, l3}).scaled(-half)
         return canonicalize(piece1 + piece2)
     raise NotImplementedError(f"a_j for j = {j} is not implemented")
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from artifact import cli
+from artifact import verify
 from artifact import numeric_oracle as oracle
 from artifact.cosphere_integrator import sphere_average
 from artifact.modular_function_engine import (
@@ -320,7 +320,7 @@ def test_criterion_09():
 def test_criterion_10():
     # deformed-algebra laws on 100 random triples: exact mode exactly,
     # floating mode within 1e-12
-    results = cli._suite_algebra(0, None)
+    results = list(verify.run("algebra", 0, None))
     ok = all(err <= bound for _, err, bound in results)
     worst = max(err for _, err, _ in results)
     conclude(10, ok, f"worst={worst:.2e}")

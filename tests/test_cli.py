@@ -8,12 +8,16 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
 from artifact import cli
+from artifact import verify as checks
 from artifact.theta_algebra import FourierElement, format_element
 
 CHECK_LINE = re.compile(
@@ -194,6 +198,88 @@ def test_verify_failure_exits_one(runner):
     )
     assert result.exit_code == 1
     assert any(line.endswith("FAIL") for line in result.output.splitlines())
+
+
+# name and default bound of every check of `verify --suite all`, in order
+VERIFY_LAYOUT = [
+    ("algebra-associativity-exact", 0.0),
+    ("algebra-star-antihom-exact", 0.0),
+    ("algebra-trace-cyclic-exact", 0.0),
+    ("algebra-associativity-float", 1e-12),
+    ("algebra-star-antihom-float", 1e-12),
+    ("algebra-trace-cyclic-float", 1e-12),
+    ("symbols-homogeneity-grading", 0.0),
+    ("symbols-canonical-idempotent", 0.0),
+    ("symbols-sphere-rule-constants", 0.0),
+    ("integrals-dim2-K-vs-quadrature", 1e-10),
+    ("integrals-dim2-G-vs-quadrature", 1e-9),
+    ("integrals-radial-scaling-law", 1e-9),
+    ("integrals-limit-value-K1", 1e-8),
+    ("matrix-K21", 1e-6),
+    ("matrix-K31", 1e-6),
+    ("matrix-H311", 1e-6),
+    ("matrix-H211", 1e-6),
+    ("matrix-H221-shift", 1e-6),
+    ("matrix-monotone-refinement", 0.0),
+    ("gauss-bonnet-theta-zero", 1e-6),
+    ("gauss-bonnet-theta-rational", 1e-6),
+    ("gauss-bonnet-theta-irrational", 1e-6),
+    ("gauss-bonnet-cross-theta-zero", 1e-6),
+    ("gauss-bonnet-cross-theta-rational", 1e-6),
+    ("gauss-bonnet-cross-theta-irrational", 1e-6),
+    ("gauss-bonnet-ratio", 1.0),
+]
+
+
+def _check_rows(output):
+    rows = []
+    for line in output.strip().splitlines():
+        assert CHECK_LINE.match(line), line
+        _, name, _, bound, verdict = line.split()
+        rows.append((name, float(bound), verdict))
+    return rows
+
+
+def test_verify_all_prints_every_check_in_order(runner):
+    result = runner.invoke(cli.main, ["verify", "--suite", "all", "--seed", "0"])
+    assert result.exit_code == 0, result.output
+    rows = _check_rows(result.output)
+    assert [(name, bound) for name, bound, _ in rows] == VERIFY_LAYOUT
+    assert all(verdict == "PASS" for _, _, verdict in rows)
+
+
+def test_verify_tol_replaces_exactly_the_float_bounds(runner, monkeypatch):
+    # the bounds do not depend on the errors, so every check reports 0 here
+    sizes = {suite: sum(c.suite == suite for c in checks.CHECKS) for suite in checks.SUITES}
+    monkeypatch.setattr(checks, "_ERRORS",
+                        {suite: (lambda seed, n=n: iter([0.0] * n)) for suite, n in sizes.items()})
+    result = runner.invoke(cli.main, ["verify", "--seed", "0", "--tol", "1e-3"])
+    assert result.exit_code == 0, result.output
+    rows = _check_rows(result.output)
+    changed = [name for (name, bound, _), (_, default) in zip(rows, VERIFY_LAYOUT)
+               if bound != default]
+    assert len(changed) == 18
+    assert all(bound == 1e-3 for name, bound, _ in rows if name in changed)
+    assert [name for name, _ in VERIFY_LAYOUT if name not in changed] == [
+        "algebra-associativity-exact", "algebra-star-antihom-exact",
+        "algebra-trace-cyclic-exact", "symbols-homogeneity-grading",
+        "symbols-canonical-idempotent", "symbols-sphere-rule-constants",
+        "matrix-monotone-refinement", "gauss-bonnet-ratio",
+    ]
+
+
+def test_cli_suites_are_the_check_table_suites():
+    assert cli._SUITES == checks.SUITES
+
+
+def test_cli_import_loads_neither_numpy_nor_the_oracles():
+    code = ("import sys, artifact.cli; "
+            "print(sorted(m for m in ('numpy', 'artifact.numeric_oracle', "
+            "'artifact.theta_algebra', 'artifact.verify') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_internal_error_reports_stage_and_exits_three(runner, monkeypatch):

@@ -362,6 +362,16 @@ def test_symbolic_function_equality_and_zero():
     assert not f.is_zero()
 
 
+def test_fraction_terms_read_each_part_exactly():
+    g = derive_curvature(2, "kdelta").G
+    for tag, (num, den) in g.fraction_terms().items():
+        assert all(isinstance(c, Fraction) for _, c in num + den)
+        expr = [sp.Add(*(sp.Rational(c.numerator, c.denominator) * S**i * T**j
+                         for (i, j), c in terms)) for terms in (num, den)]
+        assert sp.simplify(expr[0] / expr[1] - g.parts[tag]) == 0
+    assert SymbolicFunction({}).fraction_terms()["one"][0] == ()
+
+
 # random parts built from factors that vanish on the removable set, so that
 # numerators and denominators share factors and the canonical form matters
 _FACTORS = (S, T, S - 1, T - 1, S * T - 1, S + 2 * T, 3 * S - 2)

@@ -249,6 +249,19 @@ def test_rule_orders_beyond_two_are_rejected():
         a_j(3, b0_expression(), standard_p2())
 
 
+def test_horizontal_rule_table_is_closed():
+    # HessK has no horizontal rule: a third base derivative of k is never needed
+    q = nc4tori_lower_symbols()["p0"]
+    with pytest.raises(SymbolRuleError, match="horizontal-derivative rule for atom 'HessK'"):
+        a_j(1, b0_expression(), q)
+
+
+def test_vertical_rule_table_is_closed():
+    p = parse_expression("1 * kinv")
+    with pytest.raises(SymbolRuleError, match="vertical-derivative rule for atom 'kinv'"):
+        a_j(2, p, standard_p2())
+
+
 # --------------------------------------------------------------------------
 # grammar
 
