@@ -45,7 +45,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, inf
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import mpmath as mp
@@ -235,8 +235,8 @@ def eval_function(f: SymbolicFunction, s: float, t: float = 1.0) -> float:
     st=1} (only s = 1 when t occurs in no part of f) a 4-point polynomial
     limit along the ray (s(1+e), t(1+e)) is used instead of direct
     substitution."""
-    if s <= 0 or t <= 0:
-        raise UsageError("eval_function requires s > 0 and t > 0")
+    if not (0 < s < inf and 0 < t < inf):
+        raise UsageError("eval_function requires 0 < s < inf and 0 < t < inf")
     with mp.workdps(60):
         sv = mp.mpf(s)
         tv = mp.mpf(t)

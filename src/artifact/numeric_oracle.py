@@ -61,11 +61,16 @@ __all__ = [
     "cross_mode",
     "GB_THETAS",
     "SupportOverflowError",
+    "ExponentNotSelfAdjointError",
 ]
 
 
 class SupportOverflowError(RuntimeError):
     """An intermediate Fourier element outgrew the allowed support."""
+
+
+class ExponentNotSelfAdjointError(SelfAdjointnessError, UsageError):
+    """gauss_bonnet_residual's exponent h fails star(h) = h."""
 
 
 @dataclass(frozen=True)
@@ -410,7 +415,7 @@ def _prune(elem: FourierElement, cap: int) -> FourierElement:
         raise SupportOverflowError(
             f"support overflow beyond support cap ({len(kept)} > {cap} modes)"
         )
-    return FourierElement(elem.n, kept, elem.mode)
+    return FourierElement._canonical(elem.n, kept, elem.mode)
 
 
 def _pair_trace(a: FourierElement, b: FourierElement) -> complex:
@@ -425,13 +430,6 @@ def _pair_trace(a: FourierElement, b: FourierElement) -> complex:
     return total
 
 
-def _to_float_element(a: FourierElement) -> FourierElement:
-    if a.mode == "float":
-        return a
-    return FourierElement(a.n, {idx: complex(c) for idx, c in a.coeffs.items()},
-                          mode="float")
-
-
 def gauss_bonnet_residual(h: FourierElement, theta: SkewMatrix,
                           series_order: int = 8, support_cap: int = 40) -> float:
     """|trace| of the dim-2 curvature density for the conformal factor
@@ -442,7 +440,8 @@ def gauss_bonnet_residual(h: FourierElement, theta: SkewMatrix,
 
     summed over the two flat directions, Delta = exp(-ad_h), with the
     functional calculus truncated at total degree series_order.  Expected
-    to vanish up to series/support truncation error.
+    to vanish up to series/support truncation error.  An h that is not
+    self-adjoint or has |h|_1 > 0.2 is a UsageError.
     """
     if h.n != 2 or theta.n != 2:
         raise UsageError("the Gauss-Bonnet oracle is a rank-2 check")
@@ -450,13 +449,13 @@ def gauss_bonnet_residual(h: FourierElement, theta: SkewMatrix,
         raise ValueError("series_order must be >= 1")
     if support_cap < 1:
         raise ValueError("support_cap must be >= 1")
-    hf = _to_float_element(h)
+    hf = FourierElement(h.n, h.coeffs, "float")
     if not is_self_adjoint(hf, tol=1e-12):
-        raise SelfAdjointnessError(
+        raise ExponentNotSelfAdjointError(
             "the conformal exponent must satisfy star(h) = h"
         )
     if hf.l1_norm() > 0.2 + 1e-12:
-        raise ValueError(
+        raise UsageError(
             "norm precondition violated: |h|_1 must be <= 0.2 for the "
             "truncation bounds to hold"
         )

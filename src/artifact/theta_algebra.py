@@ -10,7 +10,9 @@ Two arithmetic modes share one element type:
              theta in {0, 1/2, 1, ...} always qualifies);
 * float   -- coefficients are python complex, any real Theta.
 
-All operations are pure; elements are treated as immutable.
+All operations are pure; elements are treated as immutable.  Outside data is
+checked once, by the public FourierElement constructor (parse_element calls
+it); the operations build canonical results through FourierElement._canonical.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple, Union
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
@@ -27,12 +29,14 @@ from .exactnum import GaussianRational
 Index = Tuple[int, ...]
 Coeff = Union[GaussianRational, complex]
 
-_QUARTER_TURNS = {
-    0: GaussianRational(1),
-    1: GaussianRational(0, 1),
-    2: GaussianRational(-1),
-    3: GaussianRational(0, -1),
-}
+# per mode: zero, scalar coercion and derivation unit (see derivation)
+_ZERO = {"exact": GaussianRational(0), "float": 0j}
+_SCALAR = {"exact": lambda x: x, "float": complex}
+_DERIVATION_UNIT = {"exact": GaussianRational(0, 1), "float": 2j * math.pi}
+
+# exp(pi*i*k/2) for k = 0, 1, 2, 3
+_QUARTER_TURNS = (GaussianRational(1), GaussianRational(0, 1),
+                  GaussianRational(-1), GaussianRational(0, -1))
 
 
 class RankMismatchError(ValueError):
@@ -112,7 +116,8 @@ class FourierElement:
     """Finitely supported Fourier series over Z^n.
 
     mode is 'exact' (GaussianRational coefficients) or 'float' (complex).
-    Zero coefficients are dropped on construction.
+    The constructor checks the mode and every key's rank, makes keys int
+    tuples and coefficients the mode's type, and drops zeros.
     """
 
     __slots__ = ("n", "coeffs", "mode")
@@ -130,25 +135,27 @@ class FourierElement:
                     c = GaussianRational(c)
                 if not isinstance(c, GaussianRational):
                     raise TypeError("exact mode requires GaussianRational coefficients")
-                if c:
-                    clean[idx] = c
             else:
                 c = complex(c)
-                if c != 0:
-                    clean[idx] = c
-        self.n = n
-        self.coeffs = clean
-        self.mode = mode
+            if c:
+                clean[idx] = c
+        self.n, self.coeffs, self.mode = n, clean, mode
 
     # -- constructors ----------------------------------------------------
+    @classmethod
+    def _canonical(cls, n: int, coeffs: Dict[Index, Coeff], mode: str) -> "FourierElement":
+        """Coefficients already in canonical form; only the zeros are dropped."""
+        elem = object.__new__(cls)
+        elem.n, elem.coeffs, elem.mode = n, {idx: c for idx, c in coeffs.items() if c}, mode
+        return elem
+
     @classmethod
     def zero(cls, n: int, mode: str = "exact") -> "FourierElement":
         return cls(n, {}, mode)
 
     @classmethod
     def unit(cls, n: int, mode: str = "exact") -> "FourierElement":
-        one = GaussianRational(1) if mode == "exact" else 1.0 + 0j
-        return cls(n, {tuple(0 for _ in range(n)): one}, mode)
+        return cls(n, {tuple(0 for _ in range(n)): 1}, mode)
 
     @classmethod
     def generator(cls, n: int, axis: int, mode: str = "exact") -> "FourierElement":
@@ -156,8 +163,7 @@ class FourierElement:
         if not 1 <= axis <= n:
             raise ValueError("axis out of range")
         idx = tuple(1 if j == axis - 1 else 0 for j in range(n))
-        one = GaussianRational(1) if mode == "exact" else 1.0 + 0j
-        return cls(n, {idx: one}, mode)
+        return cls(n, {idx: 1}, mode)
 
     # -- linear structure --------------------------------------------------
     def _check_compatible(self, other: "FourierElement"):
@@ -169,22 +175,18 @@ class FourierElement:
     def __add__(self, other: "FourierElement") -> "FourierElement":
         self._check_compatible(other)
         out = dict(self.coeffs)
-        zero = GaussianRational(0) if self.mode == "exact" else 0j
+        zero = _ZERO[self.mode]
         for idx, c in other.coeffs.items():
             out[idx] = out.get(idx, zero) + c
-        return FourierElement(self.n, out, self.mode)
+        return FourierElement._canonical(self.n, out, self.mode)
 
     def __sub__(self, other: "FourierElement") -> "FourierElement":
         return self + other.scaled(-1)
 
     def scaled(self, factor) -> "FourierElement":
-        if self.mode == "exact" and isinstance(factor, (int, Fraction)):
-            factor = GaussianRational(factor)
-        if self.mode == "float":
-            factor = complex(factor)
-        return FourierElement(
-            self.n, {idx: factor * c for idx, c in self.coeffs.items()}, self.mode
-        )
+        factor = _SCALAR[self.mode](factor)
+        out = {idx: factor * c for idx, c in self.coeffs.items()}
+        return FourierElement._canonical(self.n, out, self.mode)
 
     def __eq__(self, other):
         if not isinstance(other, FourierElement):
@@ -194,14 +196,9 @@ class FourierElement:
     def __repr__(self):
         return f"FourierElement(n={self.n}, {len(self.coeffs)} modes, mode={self.mode})"
 
-    def support(self) -> Iterable[Index]:
-        return self.coeffs.keys()
-
     def l1_norm(self) -> float:
         """Sum of coefficient moduli; submultiplicative for the twisted product."""
-        if self.mode == "exact":
-            return sum(abs(complex(c)) for c in self.coeffs.values())
-        return sum(abs(c) for c in self.coeffs.values())
+        return sum(abs(complex(c)) for c in self.coeffs.values())
 
 
 # -- the deformed product and friends --------------------------------------
@@ -219,7 +216,7 @@ def deformed_product(a: FourierElement, b: FourierElement, theta: SkewMatrix) ->
             k = tuple(r[i] + s[i] for i in range(a.n))
             phase = chi(theta, r, s, exact=True)
             out[k] = out.get(k, GaussianRational(0)) + phase * ar * bs
-    return FourierElement(a.n, out, a.mode)
+    return FourierElement._canonical(a.n, out, a.mode)
 
 
 def _pairings(theta: SkewMatrix, r: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -253,7 +250,7 @@ def _float_product(a: FourierElement, b: FourierElement, theta: SkewMatrix) -> F
     Python's real arithmetic, each target summed in pair order by bincount,
     and the targets in order of first appearance."""
     if not a.coeffs or not b.coeffs:
-        return FourierElement.zero(a.n, "float")
+        return FourierElement._canonical(a.n, {}, "float")
     r = np.array(list(a.coeffs), dtype=np.int64)
     s = np.array(list(b.coeffs), dtype=np.int64)
     ac = np.array(list(a.coeffs.values()))[:, None]
@@ -289,21 +286,18 @@ def _float_product(a: FourierElement, b: FourierElement, theta: SkewMatrix) -> F
     i, j = np.divmod(first[hit], len(s))
     keys = (r[i] + s[j]).tolist()
     coeffs = dict(zip(map(tuple, keys), map(complex, sum_re.tolist(), sum_im.tolist())))
-    return FourierElement(a.n, coeffs, "float")
+    return FourierElement._canonical(a.n, coeffs, "float")
 
 
 def star(a: FourierElement) -> FourierElement:
     """Adjoint: coefficient at -r is the conjugate of the coefficient at r."""
     out = {tuple(-x for x in idx): c.conjugate() for idx, c in a.coeffs.items()}
-    return FourierElement(a.n, out, a.mode)
+    return FourierElement._canonical(a.n, out, a.mode)
 
 
 def trace(a: FourierElement) -> Coeff:
     """Normalized torus trace = coefficient of the invariant mode 0."""
-    zero_idx = tuple(0 for _ in range(a.n))
-    if a.mode == "exact":
-        return a.coeffs.get(zero_idx, GaussianRational(0))
-    return a.coeffs.get(zero_idx, 0j)
+    return a.coeffs.get(tuple(0 for _ in range(a.n)), _ZERO[a.mode])
 
 
 def derivation(a: FourierElement, j: int) -> FourierElement:
@@ -315,18 +309,9 @@ def derivation(a: FourierElement, j: int) -> FourierElement:
     """
     if not 1 <= j <= a.n:
         raise ValueError("axis out of range")
-    out: Dict[Index, Coeff] = {}
-    if a.mode == "exact":
-        for idx, c in a.coeffs.items():
-            rj = idx[j - 1]
-            if rj:
-                out[idx] = GaussianRational(0, rj) * c
-    else:
-        for idx, c in a.coeffs.items():
-            rj = idx[j - 1]
-            if rj:
-                out[idx] = 2j * math.pi * rj * c
-    return FourierElement(a.n, out, a.mode)
+    unit = _DERIVATION_UNIT[a.mode]
+    out = {idx: unit * idx[j - 1] * c for idx, c in a.coeffs.items() if idx[j - 1]}
+    return FourierElement._canonical(a.n, out, a.mode)
 
 
 def is_self_adjoint(a: FourierElement, tol: float = 0.0) -> bool:
@@ -347,11 +332,10 @@ def exp_element(h: FourierElement, theta: SkewMatrix, order: int) -> FourierElem
         raise ValueError("order must be >= 1")
     if not is_self_adjoint(h, tol=1e-12 if h.mode == "float" else 0.0):
         raise SelfAdjointnessError("exponent must be self-adjoint")
-    acc = FourierElement.unit(h.n, h.mode)
-    term = FourierElement.unit(h.n, h.mode)
+    acc = term = FourierElement.unit(h.n, h.mode)
     for m in range(1, order + 1):
         term = deformed_product(term, h, theta)
-        term = term.scaled(Fraction(1, m) if h.mode == "exact" else 1.0 / m)
+        term = term.scaled(Fraction(1, m))
         acc = acc + term
     return acc
 
@@ -372,16 +356,20 @@ def format_element(a: FourierElement) -> str:
 
 
 def parse_element(text: str, n: int, mode: str = "exact") -> FourierElement:
+    """format_element's line format; a malformed line raises ValueError."""
     coeffs: Dict[Index, Coeff] = {}
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        left, right = line.split(":")
-        idx = tuple(int(x) for x in left.strip().split(","))
-        re_s, im_s = (p.strip() for p in right.strip().split(","))
-        if mode == "exact":
-            coeffs[idx] = GaussianRational(Fraction(re_s), Fraction(im_s))
-        else:
-            coeffs[idx] = complex(float(re_s), float(im_s))
+        try:
+            left, right = line.split(":")
+            idx = tuple(int(x) for x in left.strip().split(","))
+            re_s, im_s = (p.strip() for p in right.strip().split(","))
+            if mode == "exact":
+                coeffs[idx] = GaussianRational(Fraction(re_s), Fraction(im_s))
+            else:
+                coeffs[idx] = complex(float(re_s), float(im_s))
+        except ValueError as exc:
+            raise ValueError(f"line {number} is not `r1,...,rn : re,im`: {exc}") from None
     return FourierElement(n, coeffs, mode)

@@ -121,6 +121,27 @@ def test_eval_rejects_nonpositive_argument(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("args", [
+    ["--which", "K", "--s", "{}"],
+    ["--which", "G", "--s", "2", "--t", "{}"],
+], ids=["s", "t"])
+def test_eval_rejects_non_finite_argument(runner, args, value):
+    result = runner.invoke(cli.main, ["eval"] + [a.format(value) for a in args])
+    assert result.exit_code == 2
+    assert "0 < s < inf and 0 < t < inf" in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["eval", "--which", "K", "--s", "2"],
+    ["table", "--which", "K", "--s-range", "1:2:3"],
+], ids=["eval", "table"])
+def test_odd_dimension_is_a_usage_error(runner, args):
+    result = runner.invoke(cli.main, args + ["--dim", "3"])
+    assert result.exit_code == 2
+    assert "dimension must be an even integer >= 2" in result.output
+
+
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------
@@ -175,6 +196,14 @@ def test_table_rejects_bad_range_syntax(runner):
         cli.main, ["table", "--which", "K", "--s-range", "1:2"]
     )
     assert result.exit_code == 2
+
+
+def test_table_rejects_a_non_finite_point(runner):
+    result = runner.invoke(
+        cli.main, ["table", "--which", "K", "--s-range", "nan:2:3"]
+    )
+    assert result.exit_code == 2
+    assert "nan" not in result.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +297,12 @@ def test_verify_tol_replaces_exactly_the_float_bounds(runner, monkeypatch):
     ]
 
 
+def test_verify_tol_help_names_the_bounds_it_keeps(runner):
+    text = " ".join(runner.invoke(cli.main, ["verify", "--help"]).output.split())
+    assert ("override the bound of every floating-point check in the suite; "
+            "the exact checks and gauss-bonnet-ratio keep theirs") in text
+
+
 def test_cli_suites_are_the_check_table_suites():
     assert cli._SUITES == checks.SUITES
 
@@ -354,3 +389,20 @@ def test_gauss_bonnet_support_overflow_exits_3(runner, tmp_path):
     result = runner.invoke(cli.main, ["gauss-bonnet", hfile])
     assert result.exit_code == 3
     assert "internal error at stage gauss-bonnet-residual: support overflow" in result.stderr
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("1,0 : abc,0", "line 1 is not `r1,...,rn : re,im`"),
+    ("1,0 : 0.01", "line 1 is not `r1,...,rn : re,im`"),
+    ("1,0,0 : 0.01,0", "multi-index length does not match torus rank"),
+    ("1,0 : 0.01,0", "star(h) = h"),
+    ("1,0 : 0.2,0\n-1,0 : 0.2,0", "norm precondition violated"),
+], ids=["not-a-number", "no-imaginary-part", "wrong-rank", "not-self-adjoint",
+        "norm-above-0.2"])
+def test_gauss_bonnet_bad_exponent_file_is_a_usage_error(runner, tmp_path, text, reason):
+    hfile = tmp_path / "h.txt"
+    hfile.write_text(text + "\n")
+    result = runner.invoke(cli.main, ["gauss-bonnet", str(hfile)])
+    assert result.exit_code == 2
+    assert reason in result.output
+    assert "internal error" not in result.output

@@ -18,6 +18,7 @@ from artifact.modular_function_engine import (
     T,
     SignatureError,
     SymbolicFunction,
+    UsageError,
     derive_curvature,
     dim2_quadrature_decomposition,
     eval_function,
@@ -352,6 +353,14 @@ def test_eval_rejects_nonpositive_arguments():
         eval_function(report.K, 0.0)
     with pytest.raises(ValueError):
         eval_function(report.G, 1.0, -2.0)
+
+
+@pytest.mark.parametrize("s, t", [(math.nan, 1.0), (math.inf, 1.0), (2.0, math.nan),
+                                  (2.0, math.inf), (2.0, -math.inf)])
+def test_eval_rejects_non_finite_arguments(s, t):
+    report = derive_curvature(2, "kdelta")
+    with pytest.raises(UsageError, match="0 < s < inf and 0 < t < inf"):
+        eval_function(report.G, s, t)
 
 
 def test_symbolic_function_equality_and_zero():

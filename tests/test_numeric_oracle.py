@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from artifact import numeric_oracle as oracle
-from artifact.modular_function_engine import DivergentIntegralError, radial_integral
+from artifact.modular_function_engine import DivergentIntegralError, UsageError, radial_integral
 from artifact.numeric_oracle import (
     QuadratureSpec,
     SupportOverflowError,
@@ -296,4 +296,13 @@ def test_gauss_bonnet_norm_precondition():
 def test_gauss_bonnet_requires_self_adjoint_exponent():
     h = FourierElement(2, {(1, 0): 0.05 + 0j}, mode="float")
     with pytest.raises(SelfAdjointnessError, match="star"):
+        gauss_bonnet_residual(h, SkewMatrix.standard_2d(0.0))
+
+
+@pytest.mark.parametrize("h", [
+    FourierElement(2, {(1, 0): 0.05 + 0j}, mode="float"),
+    line_mode_exponent(0.2),
+], ids=["not-self-adjoint", "norm-above-0.2"])
+def test_gauss_bonnet_exponent_preconditions_are_usage_errors(h):
+    with pytest.raises(UsageError):
         gauss_bonnet_residual(h, SkewMatrix.standard_2d(0.0))

@@ -4,9 +4,11 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from artifact import numeric_oracle as oracle
 from artifact.exactnum import GaussianRational
 from artifact.theta_algebra import (
     ExactPhaseError,
@@ -258,3 +260,54 @@ def test_text_form_round_trip():
     assert parse_element(format_element(a), 2) == a
     b = FourierElement(2, {(1, 0): 0.5 + 0.25j, (0, -2): -1.5 + 0j}, mode="float")
     assert parse_element(format_element(b), 2, mode="float") == b
+
+
+# --------------------------------------------------------------------------
+# canonical form: the public constructor checks outside data, and every
+# operation returns keys of int, no zero coefficient and the mode's type
+
+COEFF_TYPE = {"exact": GaussianRational, "float": complex}
+
+operands = st.one_of(
+    st.tuples(st.just("exact"), exact_elements, exact_elements, exact_thetas,
+              st.one_of(gauss, st.integers(-3, 3), fractions)),
+    st.tuples(st.just("float"), float_elements, float_elements, float_thetas,
+              st.one_of(st.builds(complex, floats, floats), gauss)),
+)
+
+
+def assert_canonical(x: FourierElement, mode: str) -> None:
+    assert x.mode == mode
+    for idx, c in x.coeffs.items():
+        assert type(idx) is tuple and len(idx) == x.n
+        assert all(type(v) is int for v in idx)
+        assert c and type(c) is COEFF_TYPE[mode]
+    assert x == FourierElement(x.n, x.coeffs, mode)
+
+
+@given(case=operands, j=st.sampled_from([1, 2]))
+@settings(deadline=None, max_examples=60)
+def test_operations_return_canonical_elements(case, j):
+    mode, a, b, th, c = case
+    h = (a + star(a)).scaled(Fraction(1, 20))  # self-adjoint
+    results = [a + b, a - a, a.scaled(0), a.scaled(c), deformed_product(a, b, th),
+               star(a), derivation(a, j), exp_element(h, th, 3)]
+    if mode == "float":
+        results.append(oracle._prune(deformed_product(a, b, th), 10**6))
+    for x in results:
+        assert_canonical(x, mode)
+    assert (a - a).coeffs == {} and a.scaled(0).coeffs == {}
+
+
+def test_constructor_checks_rank_coefficient_type_and_mode():
+    with pytest.raises(RankMismatchError):
+        FourierElement(2, {(1, 0, 0): GaussianRational(1)})
+    with pytest.raises(TypeError):
+        FourierElement(2, {(1, 0): 1j})
+    with pytest.raises(ValueError):
+        FourierElement(2, {}, "double")
+    with pytest.raises(ValueError):
+        FourierElement.unit(2, "double")
+    x = FourierElement(2, {(np.int64(1), 0): 1.0, (0, 1): 0.0}, "float")
+    assert x.coeffs == {(1, 0): 1.0 + 0j}
+    assert_canonical(x, "float")
