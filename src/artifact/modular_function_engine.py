@@ -21,8 +21,11 @@ module finishes the derivation:
      of phi_2(x) = -log x or phi_m(x) = Gamma(m/2-1) x^(1-m/2) at the
      modular nodes 1, s, st (Lesch's divided-difference form of the
      rearrangement lemma, arXiv:1405.0863), computed by ``radial_integral``
-     exactly in QQ(s, t).  The scalar channel is the single node 1 with
-     multiplicity n.  The term prefactor, the shift monomial s^j1 t^j2 and
+     exactly in QQ(s, t).  Every division is by a gap between two nodes,
+     so each part is an ``exactnum.RationalFunction`` whose denominator
+     stays factored into a monomial and powers of s - 1, t - 1 and
+     st - 1, and is reduced by trial division.  The scalar channel is the
+     single node 1 with multiplicity n.  The term prefactor, the shift monomial s^j1 t^j2 and
      the 1/2 from the r -> r^2 change of radial variable are folded in.
   3. ``derive_curvature`` runs the whole pipeline for a named operator
      and aggregates the three channels -- the coefficient functions of
@@ -36,7 +39,10 @@ The dimension-2 families integrated here are
 
 with s the modular variable of the first curvature factor and t that of
 the second.  Everything is exact rational / rational-plus-log arithmetic;
-floats appear only in ``eval_function``.
+floats appear only in ``eval_function``, which evaluates Horner forms
+compiled from the exact parts.  sympy is imported only to print a function
+(``SymbolicFunction.parts``, ``combined``, ``render``) and to read a part
+given as a sympy expression.
 """
 
 from __future__ import annotations
@@ -46,11 +52,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, inf
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import mpmath as mp
-import sympy as sp
 
+from .exactnum import Factor, RationalFunction, integer_scaled, poly_add
 from .symbol_engine import (
     NCExpression,
     NCMonomial,
@@ -91,15 +97,89 @@ class DivergentIntegralError(ArithmeticError):
     """The log-divergent residues of a radial integral failed to cancel."""
 
 
-S, T = sp.symbols("s t", positive=True)
-_FIELD, _FS, _FT = sp.field((S, T), sp.QQ)  # exact rational functions of (s, t)
-
 _BASIS = ("one", "log_s", "log_st")
 
 # a polynomial in (s, t) as its terms ((i, j), c), each c * s^i * t^j
 PolyTerms = Tuple[Tuple[Tuple[int, int], Fraction], ...]
 
 OPERATORS = ("kdelta", "nc4tori")
+
+
+@lru_cache(maxsize=None)
+def _symbols():
+    """sympy and its (s, t); imported only to print or to read sympy input."""
+    import sympy as sp
+
+    return (sp,) + sp.symbols("s t", positive=True)
+
+
+def _from_sympy(value) -> RationalFunction:
+    """A sympy expression in (s, t) as a RationalFunction; the denominator
+    is factored once, so any denominator is accepted."""
+    sp, S, T = _symbols()
+    expr = sp.sympify(value)
+    if not expr.free_symbols <= {S, T}:
+        raise ValueError(f"{expr} is not a rational function of (s, t)")
+    num, den = sp.fraction(sp.together(expr))
+    coeff, factors = sp.factor_list(den, S, T)
+    scale = Fraction(int(coeff.p), int(coeff.q))
+    rational = {m: Fraction(int(c.p), int(c.q)) / scale
+                for m, c in sp.Poly(num, S, T).as_dict().items()}
+    factors = [({m: int(c) for m, c in sp.Poly(f, S, T).as_dict().items()}, e)
+               for f, e in factors]
+    return RationalFunction(rational, factors)
+
+
+def _as_rational_function(value) -> RationalFunction:
+    if isinstance(value, RationalFunction):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return RationalFunction.monomial(0, 0, value)
+    return _from_sympy(value)
+
+
+def _poly_expr(poly: Mapping[Tuple[int, int], Union[int, Fraction]]):
+    """poly as a sum of monomials, the way sympy's polynomials print."""
+    sp, S, T = _symbols()
+    return sp.Add(*(sp.Rational(c.numerator, c.denominator) * S**i * T**j
+                    for (i, j), c in poly.items()))
+
+
+def _nest(coeffs: Mapping[int, str], var: str) -> str:
+    """sum coeffs[d] * var^d as form = form * var^gap + coeff, from the top
+    degree down to 0; as in sympy's form, a factor 1 or -1 is not multiplied."""
+    degrees = sorted(coeffs, reverse=True)
+    form = coeffs[degrees[0]]
+    for hi, lo in zip(degrees, degrees[1:] + [0]):
+        if hi == lo:
+            continue
+        step = var if hi - lo == 1 else f"{var}**{hi - lo}"
+        term = {"1": step, "(-1)": f"-{step}"}.get(form, f"{step}*{form}")
+        form = f"({term} + {coeffs[lo]})" if lo in coeffs else f"({term})"
+    return form
+
+
+def _horner(poly: Mapping[Tuple[int, int], int]) -> str:
+    """Python source of poly in sympy's Horner form, in parentheses: nested
+    in s, each coefficient nested in t, a run of zero coefficients folded
+    into a power."""
+    rows: Dict[int, Dict[int, str]] = {}
+    for (i, j), c in poly.items():
+        rows.setdefault(i, {})[j] = str(c) if c > 0 else f"({c})"
+    return f"({_nest({i: _nest(row, 't') for i, row in rows.items()}, 's')})"
+
+
+def _compile(part: RationalFunction):
+    """part as a function of mpf (s, t), its Horner numerator over its Horner
+    denominator; None for a zero part.  A constant part divides as mpf, at
+    the working precision of the call."""
+    num, den = part.fraction()
+    if not num:
+        return None
+    top = _horner(num)
+    if part.constant() is not None:
+        top = f"mpf{top}"
+    return eval(f"lambda s, t: {top} / {_horner(den)}", {"mpf": mp.mpf})
 
 
 # --------------------------------------------------------------------------
@@ -109,37 +189,45 @@ OPERATORS = ("kdelta", "nc4tori")
 class SymbolicFunction:
     """Exact function of (s, t) on the basis {1, log s, log(st)}.
 
-    Each basis tag carries a part in QQ(s, t) (``_FIELD``), which the field
-    keeps in lowest terms; the represented function is
+    Each basis tag carries a part in QQ(s, t), an ``exactnum.RationalFunction``:
+    a rational numerator over a denominator kept factored into canonical
+    irreducible polynomials (for the derived functions a monomial times
+    powers of s - 1, t - 1 and st - 1), in lowest terms.  The represented
+    function is
 
         parts["one"] + parts["log_s"]*log(s) + parts["log_st"]*log(s*t).
 
-    ``parts`` shows the three parts as sympy expressions and
-    ``fraction_terms`` reads their exact numerator and denominator terms.
-    Equality is field equality of the parts.
+    Equality is equality of the parts.  A part given as a sympy expression
+    is read once, with its denominator factored by sympy; ``parts``,
+    ``combined`` and ``render`` print through sympy, and are the only other
+    members that import it.  ``fraction_terms`` reads each part's exact
+    numerator and denominator without it.
     """
 
     __slots__ = ("_parts", "_uses_t", "_fns")
 
     def __init__(self, parts: Optional[Mapping[str, object]] = None):
         src = parts or {}
-        self._parts = tuple(_FIELD(src.get(tag, 0)) for tag in _BASIS)
-        # mono runs over the (s, t) exponent pairs of a numerator or
-        # denominator; set once, since eval_function asks on every call
-        self._uses_t = any(
-            mono[1] for v in self._parts for poly in (v.numer, v.denom) for mono in poly
-        )
+        self._parts = tuple(_as_rational_function(src.get(tag, 0)) for tag in _BASIS)
+        # set once, since eval_function asks on every call
+        self._uses_t = any(v.uses_t() for v in self._parts)
         self._fns = None
 
     @property
-    def parts(self) -> Dict[str, sp.Expr]:
-        return {tag: v.as_expr() for tag, v in zip(_BASIS, self._parts)}
+    def parts(self) -> Dict[str, "sp.Expr"]:
+        """Each part as sympy's ``cancel`` prints it: integer numerator over
+        expanded integer denominator."""
+        out = {}
+        for tag, v in zip(_BASIS, self._parts):
+            num, den = v.fraction()
+            out[tag] = _poly_expr(num) / _poly_expr(den)
+        return out
 
     def fraction_terms(self) -> Dict[str, Tuple[PolyTerms, PolyTerms]]:
         """Each part's numerator and denominator in lowest terms; a zero part
         has no numerator terms."""
-        return {tag: tuple(tuple((mono, Fraction(int(c.numerator), int(c.denominator)))
-                                 for mono, c in poly.items()) for poly in (v.numer, v.denom))
+        return {tag: tuple(tuple((mono, Fraction(c)) for mono, c in poly.items())
+                           for poly in v.fraction())
                 for tag, v in zip(_BASIS, self._parts)}
 
     def __add__(self, other: "SymbolicFunction") -> "SymbolicFunction":
@@ -148,6 +236,10 @@ class SymbolicFunction:
         )
 
     def scaled(self, factor) -> "SymbolicFunction":
+        """Each part times factor: an int, a Fraction, a RationalFunction or a
+        sympy expression in (s, t)."""
+        if not isinstance(factor, (int, Fraction)):
+            factor = _as_rational_function(factor)
         return SymbolicFunction({tag: v * factor for tag, v in zip(_BASIS, self._parts)})
 
     def __neg__(self) -> "SymbolicFunction":
@@ -165,21 +257,20 @@ class SymbolicFunction:
         return self._parts == other._parts
 
     def __hash__(self):
-        # sympy caches a polynomial's hash and may change the polynomial in
-        # place afterwards, so equal parts can carry different cached hashes
-        return hash(tuple(frozenset(poly.items()) for v in self._parts
-                          for poly in (v.numer, v.denom)))
+        return hash(self._parts)
 
     def constant_value(self) -> Fraction:
         """The exact value when the function is a constant; error otherwise."""
         one, log_s, log_st = self._parts
         if log_s or log_st:
             raise ValueError("function has log terms, not a constant")
-        if not (one.numer.is_ground and one.denom.is_ground):
+        value = one.constant()
+        if value is None:
             raise ValueError("function depends on (s, t), not a constant")
-        return Fraction(int(one.numer.LC), int(one.denom.LC))  # coprime integers
+        return value
 
-    def combined(self) -> sp.Expr:
+    def combined(self) -> "sp.Expr":
+        sp, S, T = _symbols()
         parts = self.parts
         return (
             parts["one"]
@@ -189,16 +280,36 @@ class SymbolicFunction:
 
     def render(self) -> str:
         """Single-fraction infix form, e.g.
-        ``(-2*s + (s + 1)*log(s) + 2) / (2*(s - 1)^3)``."""
+        ``(-2*s + (s + 1)*log(s) + 2) / (2*(s - 1)^3)``.
+
+        The common denominator takes each factor at its largest exponent
+        among the parts.  Every part is in lowest terms, so the single
+        fraction is too; the numerator is built collected by log, and the
+        denominator printed from its factors."""
         if self.is_zero():
             return "0"
-        num, den = sp.fraction(sp.cancel(sp.together(self.combined())))
-        num = sp.collect(sp.expand(num), [sp.log(S), sp.log(T), sp.log(S * T)])
-        den = sp.factor(den)
+        sp, S, T = _symbols()
+        den: Dict[Factor, int] = {}
+        for v in self._parts:
+            for f, e in v.factors:
+                den[f] = max(den.get(f, 0), e)
+        one, log_s, log_st = (v.numerator_over(den) for v in self._parts)
+        # on the basis 1, log s, log t, as sympy expands log(st) for s, t > 0
+        nums, scale = integer_scaled([one, poly_add(log_s, log_st), log_st])
+        if not den and scale > 1 and sum(map(len, nums)) > 1:
+            # sympy distributes 1/scale over a sum: a polynomial of several
+            # terms prints with rational coefficients and no denominator
+            nums, scale = [{m: Fraction(c, scale) for m, c in p.items()} for p in nums], 1
+        num = sp.Add(*(_poly_expr(p) * g for p, g in zip(nums, (1, sp.log(S), sp.log(T)))))
+        # scale * prod f^e as sympy's factor prints it
+        den_expr = sp.Mul(*(_poly_expr(dict(f)) ** e for f, e in den.items()))
+        if scale != 1:
+            den_expr = (sp.Mul(scale, den_expr, evaluate=False) if den_expr.is_Add
+                        else scale * den_expr)
         num_s = str(num).replace("**", "^")
-        if den == 1:
+        if den_expr == 1:
             return num_s
-        return f"({num_s}) / ({str(den).replace('**', '^')})"
+        return f"({num_s}) / ({str(den_expr).replace('**', '^')})"
 
     def parts_strings(self) -> Dict[str, str]:
         return {tag: str(part).replace("**", "^") for tag, part in self.parts.items()}
@@ -216,11 +327,7 @@ class SymbolicFunction:
         if self._fns is None:
             # Horner forms need fewer mpf operations than the expanded parts
             # (the limit path runs at 90 digits); a zero part skips its log
-            self._fns = tuple(
-                sp.lambdify((S, T), sp.horner(num) / sp.horner(den), modules="mpmath")
-                if num != 0 else None
-                for num, den in ((v.numer.as_expr(), v.denom.as_expr()) for v in self._parts)
-            )
+            self._fns = tuple(map(_compile, self._parts))
         f1, fs, fst = self._fns
         value = f1(sv, tv) if f1 else mp.mpf(0)
         if fs:
@@ -408,25 +515,34 @@ def extract_signature(term: NCMonomial) -> TermSignature:
 # radial integration: one confluent divided difference per family
 
 
-_NODES = (_FIELD.one, _FS, _FS * _FT)  # the modular nodes 1, s, st
+# the modular nodes 1, s, st as the exponents (a, b) of s^a t^b
+_NODES = ((0, 0), (1, 0), (1, 1))
+# 1 / (x_j - x_i) for the node pairs (i, j): s - 1, st - 1, st - s = s(t - 1)
+_INVERSE_GAPS = {
+    (0, 1): RationalFunction({(0, 0): 1}, [({(1, 0): 1, (0, 0): -1}, 1)]),
+    (0, 2): RationalFunction({(0, 0): 1}, [({(1, 1): 1, (0, 0): -1}, 1)]),
+    (1, 2): RationalFunction({(0, 0): 1}, [({(1, 0): 1}, 1), ({(0, 1): 1, (0, 0): -1}, 1)]),
+}
 
 
-def _taylor(node: int, n: int, m: int) -> Tuple:
+def _taylor(node: int, n: int, m: int) -> Tuple[RationalFunction, ...]:
     """phi_m^(n)(x)/n! at x = _NODES[node] on the basis (1, log s, log st),
     with phi_2(x) = -log x and phi_m(x) = Gamma(m/2-1) x^(1-m/2)."""
-    x, half = _NODES[node], m // 2
-    out = [_FIELD.zero] * 3
+    (a, b), half = _NODES[node], m // 2
+    out = [RationalFunction()] * 3
     if m > 2:
-        out[0] = (-1) ** n * factorial(half - 2) * comb(n + half - 2, n) * x ** (1 - half - n)
+        k = 1 - half - n
+        out[0] = RationalFunction.monomial(
+            a * k, b * k, (-1) ** n * factorial(half - 2) * comb(n + half - 2, n))
     elif n:
-        out[0] = (-1) ** n / (n * x**n)
+        out[0] = RationalFunction.monomial(-a * n, -b * n, Fraction((-1) ** n, n))
     elif node:  # -log 1 = 0; -log s and -log(st) land on their basis tags
-        out[node] = -_FIELD.one
+        out[node] = RationalFunction.monomial(0, 0, -1)
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _divided_difference(mults: Tuple[int, int, int], m: int) -> Tuple:
+def _divided_difference(mults: Tuple[int, int, int], m: int) -> Tuple[RationalFunction, ...]:
     """phi_m[1^(p), s^(q), (st)^(l)] for mults = (p, q, l), by
     f[..] = (f[drop x_i] - f[drop x_j]) / (x_j - x_i) down to one node."""
     present = [i for i in range(3) if mults[i]]
@@ -435,9 +551,8 @@ def _divided_difference(mults: Tuple[int, int, int], m: int) -> Tuple:
     i, j = present[0], present[1]
     drop_i = tuple(e - (k == i) for k, e in enumerate(mults))
     drop_j = tuple(e - (k == j) for k, e in enumerate(mults))
-    gap = _NODES[j] - _NODES[i]
     return tuple(
-        (a - b) / gap
+        (a - b) * _INVERSE_GAPS[(i, j)]
         for a, b in zip(_divided_difference(drop_i, m), _divided_difference(drop_j, m))
     )
 
@@ -467,7 +582,7 @@ def integrate_dim_m(sig: TermSignature, m: int) -> SymbolicFunction:
     """Exact dim-m radial integral of one signature, times its prefactor,
     shift monomial s^j1 t^j2, and the measure 1/2."""
     j1, j2 = (sig.modular_shifts + (0, 0))[:2]
-    pre = _FIELD(sig.prefactor / 2) * _FS**j1 * _FT**j2
+    pre = RationalFunction.monomial(j1, j2, sig.prefactor / 2)
     return radial_integral(sig.b0_exponents, m).scaled(pre)
 
 
@@ -518,10 +633,41 @@ class CurvatureReport:
     c_scalar: Fraction
     k_powers: Tuple[Tuple[str, int], ...]
     normalization: Tuple[Tuple[str, str], ...]
-    notes: Tuple[str, ...] = ()
 
     def k_power(self, channel: str) -> int:
         return dict(self.k_powers)[channel]
+
+    @property
+    def notes(self) -> Tuple[str, ...]:
+        """Where the derived functions differ from tabulated forms.  Built
+        when asked for: the nc4tori notes print K and G."""
+        notes: List[str] = []
+        if self.operator == "kdelta" and self.dim == 2:
+            notes.append(
+                "G channel: the derived function is the negative of a commonly "
+                "tabulated closed form for this operator; the derived sign is the "
+                "one for which the dim-2 Gauss-Bonnet residual oracle vanishes, "
+                "and the difference is recorded here rather than adjusted."
+            )
+        if self.operator == "nc4tori":
+            notes.append(
+                "K channel: the derivation yields "
+                f"{self.K.render()}; reference tabulations of the same operator quote "
+                "magnitude 1/(4*s) with the overall sign printed inconsistently "
+                "(both +1/(4*s) and -1/(4*s) appear); the factor-3 and sign "
+                "differences are recorded here rather than adjusted."
+            )
+            notes.append(
+                "G channel: the derivation yields "
+                f"{self.G.render()}; reference tabulations quote -1/(8*s^2*t); the "
+                "factor-3 difference is recorded here rather than adjusted."
+            )
+            notes.append(
+                "scalar channel: this operator lives over a flat base, so the "
+                "scalar atom has no geometric source; c_scalar is the universal "
+                "pipeline value for the abstract channel."
+            )
+        return tuple(notes)
 
     def to_json(self) -> str:
         payload = {
@@ -601,33 +747,6 @@ def derive_curvature(m: int, operator: str) -> CurvatureReport:
         else:
             c_scalar += value.constant_value()
 
-    notes: List[str] = []
-    if operator == "kdelta" and m == 2:
-        notes.append(
-            "G channel: the derived function is the negative of a commonly "
-            "tabulated closed form for this operator; the derived sign is the "
-            "one for which the dim-2 Gauss-Bonnet residual oracle vanishes, "
-            "and the difference is recorded here rather than adjusted."
-        )
-    if operator == "nc4tori":
-        notes.append(
-            "K channel: the derivation yields "
-            f"{K.render()}; reference tabulations of the same operator quote "
-            "magnitude 1/(4*s) with the overall sign printed inconsistently "
-            "(both +1/(4*s) and -1/(4*s) appear); the factor-3 and sign "
-            "differences are recorded here rather than adjusted."
-        )
-        notes.append(
-            "G channel: the derivation yields "
-            f"{G.render()}; reference tabulations quote -1/(8*s^2*t); the "
-            "factor-3 difference is recorded here rather than adjusted."
-        )
-        notes.append(
-            "scalar channel: this operator lives over a flat base, so the "
-            "scalar atom has no geometric source; c_scalar is the universal "
-            "pipeline value for the abstract channel."
-        )
-
     k_powers = (
         ("hess", -(m // 2)),
         ("gradgrad", -(m // 2) - 1),
@@ -641,7 +760,6 @@ def derive_curvature(m: int, operator: str) -> CurvatureReport:
         c_scalar=c_scalar,
         k_powers=k_powers,
         normalization=_normalization_record(m),
-        notes=tuple(notes),
     )
 
 

@@ -137,6 +137,8 @@ class FourierElement:
                     raise TypeError("exact mode requires GaussianRational coefficients")
             else:
                 c = complex(c)
+                if not cmath.isfinite(c):
+                    raise ValueError("float mode requires finite coefficients")
             if c:
                 clean[idx] = c
         self.n, self.coeffs, self.mode = n, clean, mode
@@ -355,6 +357,17 @@ def format_element(a: FourierElement) -> str:
     return "\n".join(lines)
 
 
+def _float_literal(text: str) -> float:
+    """float(text), refusing a non-finite value and a nonzero literal that
+    rounds to 0.0."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"coefficient {text} is not finite")
+    if x == 0 and any(d in "123456789" for d in text.lower().partition("e")[0]):
+        raise ValueError(f"coefficient {text} underflows to 0.0")
+    return x
+
+
 def parse_element(text: str, n: int, mode: str = "exact") -> FourierElement:
     """format_element's line format; a malformed line raises ValueError."""
     coeffs: Dict[Index, Coeff] = {}
@@ -369,7 +382,7 @@ def parse_element(text: str, n: int, mode: str = "exact") -> FourierElement:
             if mode == "exact":
                 coeffs[idx] = GaussianRational(Fraction(re_s), Fraction(im_s))
             else:
-                coeffs[idx] = complex(float(re_s), float(im_s))
-        except ValueError as exc:
+                coeffs[idx] = complex(_float_literal(re_s), _float_literal(im_s))
+        except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"line {number} is not `r1,...,rn : re,im`: {exc}") from None
     return FourierElement(n, coeffs, mode)

@@ -23,8 +23,6 @@ from artifact import verify
 from artifact import numeric_oracle as oracle
 from artifact.cosphere_integrator import sphere_average
 from artifact.modular_function_engine import (
-    S,
-    T,
     derive_curvature,
     dim2_quadrature_decomposition,
     eval_function,
@@ -41,6 +39,8 @@ from artifact.symbol_engine import (
     standard_p2,
 )
 from artifact.theta_algebra import FourierElement, SkewMatrix
+
+S, T = sp.symbols("s t", positive=True)
 
 KDELTA = {"p2": standard_p2()}
 

@@ -317,6 +317,22 @@ def test_cli_import_loads_neither_numpy_nor_the_oracles():
     assert out.strip() == "[]"
 
 
+def test_cold_eval_table_and_gauss_bonnet_do_not_load_sympy():
+    # sympy prints reports and reads sympy input; computing never needs it
+    commands = [["eval", "--which", "G", "--s", "2.3", "--t", "0.7"],
+                ["eval", "--dim", "4", "--operator", "nc4tori", "--which", "K", "--s", "2"],
+                ["table", "--which", "G", "--s-range", "0.5:1.5:3", "--t-range", "0.5:1.5:3"],
+                ["gauss-bonnet"]]
+    code = ("import sys, artifact.cli as cli\n"
+            f"for argv in {commands!r}:\n"
+            "    cli.main(argv, standalone_mode=False)\n"
+            "print('sympy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "False"
+
+
 def test_internal_error_reports_stage_and_exits_three(runner, monkeypatch):
     def boom(dim, operator):
         raise RuntimeError("synthetic failure")
@@ -397,8 +413,11 @@ def test_gauss_bonnet_support_overflow_exits_3(runner, tmp_path):
     ("1,0,0 : 0.01,0", "multi-index length does not match torus rank"),
     ("1,0 : 0.01,0", "star(h) = h"),
     ("1,0 : 0.2,0\n-1,0 : 0.2,0", "norm precondition violated"),
+    ("1,0 : nan,0\n-1,0 : nan,0", "line 1 is not `r1,...,rn : re,im`: coefficient nan is not finite"),
+    ("1,0 : 0.01,0\n-1,0 : 0.01,-inf", "line 2 is not `r1,...,rn : re,im`: coefficient -inf is not finite"),
+    ("1,0 : 1e-400,0", "line 1 is not `r1,...,rn : re,im`: coefficient 1e-400 underflows to 0.0"),
 ], ids=["not-a-number", "no-imaginary-part", "wrong-rank", "not-self-adjoint",
-        "norm-above-0.2"])
+        "norm-above-0.2", "nan", "infinite", "underflow"])
 def test_gauss_bonnet_bad_exponent_file_is_a_usage_error(runner, tmp_path, text, reason):
     hfile = tmp_path / "h.txt"
     hfile.write_text(text + "\n")

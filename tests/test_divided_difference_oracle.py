@@ -18,13 +18,13 @@ import sympy as sp
 
 from artifact.cosphere_integrator import sphere_average
 from artifact.modular_function_engine import (
-    S,
-    T,
     extract_signature,
     operator_symbols,
     radial_integral,
 )
 from artifact.symbol_engine import resolvent_b
+
+S, T = sp.symbols("s t", positive=True)
 
 # every exponent tuple the derivations feed the integrator, plus the (2, 1)
 # family of the scalar profile

@@ -14,8 +14,6 @@ from hypothesis import given, settings, strategies as st
 from artifact.symbol_engine import parse_expression
 from artifact.modular_function_engine import (
     DivergentIntegralError,
-    S,
-    T,
     SignatureError,
     SymbolicFunction,
     UsageError,
@@ -29,6 +27,8 @@ from artifact.modular_function_engine import (
     scalar_profile,
 )
 from artifact.numeric_oracle import quad_r_integral
+
+S, T = sp.symbols("s t", positive=True)
 
 
 def sig_of(text: str):
@@ -410,3 +410,13 @@ def test_symbolic_function_parts_are_the_cancelled_expressions(p, q, c):
     assert (f == g) == all(_canonical(p[tag] - q[tag]) == "0" for tag in p)
     rewritten = SymbolicFunction({tag: sp.expand(sp.together(e)) for tag, e in p.items()})
     assert rewritten == f and hash(rewritten) == hash(f)
+
+
+@given(p=_parts, n=_products, d=_products)
+@settings(deadline=None, max_examples=25)
+def test_products_cancel_to_the_cancelled_expressions(p, n, d):
+    # scaling by a rational function cancels its numerator against the
+    # parts' factored denominators and the parts' numerators against its own
+    f = SymbolicFunction(p).scaled(n / d)
+    for tag in p:
+        assert str(f.parts[tag]) == _canonical(p[tag] * n / d)

@@ -262,6 +262,27 @@ def test_text_form_round_trip():
     assert parse_element(format_element(b), 2, mode="float") == b
 
 
+@pytest.mark.parametrize("text, mode, reason", [
+    ("1,0 : nan,0", "float", "line 1 is not `r1,...,rn : re,im`: coefficient nan is not finite"),
+    ("0,0 : 1,0\n1,0 : 0,inf", "float",
+     "line 2 is not `r1,...,rn : re,im`: coefficient inf is not finite"),
+    ("1,0 : 1e-400,0", "float",
+     "line 1 is not `r1,...,rn : re,im`: coefficient 1e-400 underflows to 0.0"),
+    ("1,0 : 0,-1.0E-400", "float",
+     "line 1 is not `r1,...,rn : re,im`: coefficient -1.0E-400 underflows to 0.0"),
+    ("1,0 : 1/0,0", "exact", "line 1 is not `r1,...,rn : re,im`"),
+], ids=["nan", "inf", "underflow", "negative-underflow", "division-by-zero"])
+def test_parse_rejects_coefficients_it_cannot_represent(text, mode, reason):
+    with pytest.raises(ValueError) as err:
+        parse_element(text, 2, mode=mode)
+    assert str(err.value).startswith(reason)
+
+
+def test_parse_keeps_zero_literals_and_subnormals():
+    x = parse_element("1,0 : 0.0e-400,5e-324\n0,1 : -0,1e-300", 2, mode="float")
+    assert x.coeffs == {(1, 0): complex(0.0, 5e-324), (0, 1): complex(0.0, 1e-300)}
+
+
 # --------------------------------------------------------------------------
 # canonical form: the public constructor checks outside data, and every
 # operation returns keys of int, no zero coefficient and the mode's type
@@ -308,6 +329,9 @@ def test_constructor_checks_rank_coefficient_type_and_mode():
         FourierElement(2, {}, "double")
     with pytest.raises(ValueError):
         FourierElement.unit(2, "double")
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            FourierElement(2, {(1, 0): bad}, "float")
     x = FourierElement(2, {(np.int64(1), 0): 1.0, (0, 1): 0.0}, "float")
     assert x.coeffs == {(1, 0): 1.0 + 0j}
     assert_canonical(x, "float")
