@@ -40,9 +40,10 @@ The dimension-2 families integrated here are
 with s the modular variable of the first curvature factor and t that of
 the second.  Everything is exact rational / rational-plus-log arithmetic;
 floats appear only in ``eval_function``, which evaluates Horner forms
-compiled from the exact parts.  sympy is imported only to print a function
-(``SymbolicFunction.parts``, ``combined``, ``render``) and to read a part
-given as a sympy expression.
+compiled from the exact parts, and reports are printed by
+``artifact.printer``.  sympy is imported only to hand out sympy objects
+(``SymbolicFunction.parts``, ``combined``) and to read a part given as a
+sympy expression.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import mpmath as mp
 
-from .exactnum import Factor, RationalFunction, integer_scaled, poly_add
+from .exactnum import RationalFunction
 from .symbol_engine import (
     NCExpression,
     NCMonomial,
@@ -107,7 +108,7 @@ OPERATORS = ("kdelta", "nc4tori")
 
 @lru_cache(maxsize=None)
 def _symbols():
-    """sympy and its (s, t); imported only to print or to read sympy input."""
+    """sympy and its (s, t); imported only for sympy output or sympy input."""
     import sympy as sp
 
     return (sp,) + sp.symbols("s t", positive=True)
@@ -115,19 +116,24 @@ def _symbols():
 
 def _from_sympy(value) -> RationalFunction:
     """A sympy expression in (s, t) as a RationalFunction; the denominator
-    is factored once, so any denominator is accepted."""
+    is factored once, so any denominator is accepted.  Anything but a
+    rational function with rational coefficients is a ValueError."""
     sp, S, T = _symbols()
     expr = sp.sympify(value)
-    if not expr.free_symbols <= {S, T}:
-        raise ValueError(f"{expr} is not a rational function of (s, t)")
-    num, den = sp.fraction(sp.together(expr))
-    coeff, factors = sp.factor_list(den, S, T)
+    try:
+        num, den = sp.fraction(sp.together(expr))
+        coeff, factors = sp.factor_list(den, S, T)
+        polys = [sp.Poly(p, S, T) for p in [num] + [f for f, _ in factors]]
+    except sp.PolynomialError:  # a log, a root or another function of s, t
+        polys = []
+    # any other symbol, a float, I or an infinity lands in the coefficients
+    if not (polys and coeff.is_Rational and all(p.domain in (sp.ZZ, sp.QQ) for p in polys)):
+        raise ValueError(f"{expr}: parts must be rational functions with rational "
+                         "coefficients in the positive symbols s, t")
     scale = Fraction(int(coeff.p), int(coeff.q))
-    rational = {m: Fraction(int(c.p), int(c.q)) / scale
-                for m, c in sp.Poly(num, S, T).as_dict().items()}
-    factors = [({m: int(c) for m, c in sp.Poly(f, S, T).as_dict().items()}, e)
-               for f, e in factors]
-    return RationalFunction(rational, factors)
+    rational = {m: Fraction(int(c.p), int(c.q)) / scale for m, c in polys[0].as_dict().items()}
+    return RationalFunction(rational, [({m: int(c) for m, c in p.as_dict().items()}, e)
+                                       for p, (_, e) in zip(polys[1:], factors)])
 
 
 def _as_rational_function(value) -> RationalFunction:
@@ -198,10 +204,11 @@ class SymbolicFunction:
         parts["one"] + parts["log_s"]*log(s) + parts["log_st"]*log(s*t).
 
     Equality is equality of the parts.  A part given as a sympy expression
-    is read once, with its denominator factored by sympy; ``parts``,
-    ``combined`` and ``render`` print through sympy, and are the only other
-    members that import it.  ``fraction_terms`` reads each part's exact
-    numerator and denominator without it.
+    is read once, with its denominator factored by sympy; ``parts`` and
+    ``combined`` return sympy expressions, and are the only other members
+    that import it.  ``render``, ``parts_strings`` and ``repr`` print
+    without it, and ``fraction_terms`` reads each part's exact numerator
+    and denominator.
     """
 
     __slots__ = ("_parts", "_uses_t", "_fns")
@@ -215,8 +222,9 @@ class SymbolicFunction:
 
     @property
     def parts(self) -> Dict[str, "sp.Expr"]:
-        """Each part as sympy's ``cancel`` prints it: integer numerator over
-        expanded integer denominator."""
+        """Each part as a sympy expression, the form sympy's ``cancel``
+        gives: integer numerator over expanded integer denominator.  This
+        imports sympy; ``parts_strings`` prints the same parts without it."""
         out = {}
         for tag, v in zip(_BASIS, self._parts):
             num, den = v.fraction()
@@ -280,39 +288,17 @@ class SymbolicFunction:
 
     def render(self) -> str:
         """Single-fraction infix form, e.g.
-        ``(-2*s + (s + 1)*log(s) + 2) / (2*(s - 1)^3)``.
+        ``(-2*s + (s + 1)*log(s) + 2) / (2*(s - 1)^3)``, in sympy's printed
+        form but written without sympy, by ``artifact.printer``."""
+        from .printer import render
 
-        The common denominator takes each factor at its largest exponent
-        among the parts.  Every part is in lowest terms, so the single
-        fraction is too; the numerator is built collected by log, and the
-        denominator printed from its factors."""
-        if self.is_zero():
-            return "0"
-        sp, S, T = _symbols()
-        den: Dict[Factor, int] = {}
-        for v in self._parts:
-            for f, e in v.factors:
-                den[f] = max(den.get(f, 0), e)
-        one, log_s, log_st = (v.numerator_over(den) for v in self._parts)
-        # on the basis 1, log s, log t, as sympy expands log(st) for s, t > 0
-        nums, scale = integer_scaled([one, poly_add(log_s, log_st), log_st])
-        if not den and scale > 1 and sum(map(len, nums)) > 1:
-            # sympy distributes 1/scale over a sum: a polynomial of several
-            # terms prints with rational coefficients and no denominator
-            nums, scale = [{m: Fraction(c, scale) for m, c in p.items()} for p in nums], 1
-        num = sp.Add(*(_poly_expr(p) * g for p, g in zip(nums, (1, sp.log(S), sp.log(T)))))
-        # scale * prod f^e as sympy's factor prints it
-        den_expr = sp.Mul(*(_poly_expr(dict(f)) ** e for f, e in den.items()))
-        if scale != 1:
-            den_expr = (sp.Mul(scale, den_expr, evaluate=False) if den_expr.is_Add
-                        else scale * den_expr)
-        num_s = str(num).replace("**", "^")
-        if den_expr == 1:
-            return num_s
-        return f"({num_s}) / ({str(den_expr).replace('**', '^')})"
+        return render(self._parts)
 
     def parts_strings(self) -> Dict[str, str]:
-        return {tag: str(part).replace("**", "^") for tag, part in self.parts.items()}
+        """Each part as ``parts`` prints it, written without sympy."""
+        from .printer import part_string
+
+        return {tag: part_string(v) for tag, v in zip(_BASIS, self._parts)}
 
     def __repr__(self):
         return f"SymbolicFunction({self.render()!r})"

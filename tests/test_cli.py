@@ -317,15 +317,22 @@ def test_cli_import_loads_neither_numpy_nor_the_oracles():
     assert out.strip() == "[]"
 
 
-def test_cold_eval_table_and_gauss_bonnet_do_not_load_sympy():
-    # sympy prints reports and reads sympy input; computing never needs it
-    commands = [["eval", "--which", "G", "--s", "2.3", "--t", "0.7"],
-                ["eval", "--dim", "4", "--operator", "nc4tori", "--which", "K", "--s", "2"],
-                ["table", "--which", "G", "--s-range", "0.5:1.5:3", "--t-range", "0.5:1.5:3"],
-                ["gauss-bonnet"]]
+def test_cold_commands_do_not_load_sympy():
+    # sympy only hands out sympy objects and reads sympy input; computing and
+    # printing never need it
+    derives = [["derive", "--dim", str(dim), "--operator", operator, "--format", fmt]
+               for dim, operator in [(2, "kdelta"), (4, "kdelta"), (6, "kdelta"),
+                                     (8, "kdelta"), (4, "nc4tori")]
+               for fmt in ("json", "text")]
+    commands = derives + [
+        ["eval", "--which", "G", "--s", "2.3", "--t", "0.7"],
+        ["eval", "--dim", "4", "--operator", "nc4tori", "--which", "K", "--s", "2"],
+        ["table", "--which", "G", "--s-range", "0.5:1.5:3", "--t-range", "0.5:1.5:3"],
+        ["gauss-bonnet"]]
     code = ("import sys, artifact.cli as cli\n"
             f"for argv in {commands!r}:\n"
             "    cli.main(argv, standalone_mode=False)\n"
+            "print(repr(cli.derive_curvature(2, 'kdelta').G))\n"
             "print('sympy' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -371,6 +371,20 @@ def test_symbolic_function_equality_and_zero():
     assert not f.is_zero()
 
 
+@pytest.mark.parametrize("part", [sp.log(S), sp.sqrt(S), 0.5 * S, sp.I * S, S / 0,
+                                  sp.Symbol("s"), T / (S + 2 * sp.Symbol("t"))],
+                         ids=["log", "sqrt", "float", "imaginary", "zoo", "symbol",
+                              "symbol-in-denominator"])
+def test_sympy_part_outside_rational_functions_is_a_value_error(part):
+    with pytest.raises(ValueError) as info:
+        SymbolicFunction({"log_s": part})
+    assert str(info.value) == (f"{part}: parts must be rational functions with rational "
+                               "coefficients in the positive symbols s, t")
+    # the factors sympy input is read with keep working
+    g = SymbolicFunction({"log_s": (3 * S - 2) / (S + 2 * T)})
+    assert g.parts["log_s"] == (3 * S - 2) / (S + 2 * T)
+
+
 def test_fraction_terms_read_each_part_exactly():
     g = derive_curvature(2, "kdelta").G
     for tag, (num, den) in g.fraction_terms().items():
