@@ -439,9 +439,10 @@ def gauss_bonnet_residual(h: FourierElement, theta: SkewMatrix,
         R = kinv * K(Delta)(dd k)  +  kinv^2 * G(Delta1, Delta2)(dk dk)
 
     summed over the two flat directions, Delta = exp(-ad_h), with the
-    functional calculus truncated at total degree series_order.  Expected
-    to vanish up to series/support truncation error.  An h that is not
-    self-adjoint or has |h|_1 > 0.2 is a UsageError.
+    functional calculus truncated at total degree series_order.  The G term
+    uses trace(kinv^2 (P_a P_b)) = trace((kinv^2 P_a) P_b), P_a = (-ad_h)^a(d_j k),
+    to make one product per Taylor row a.  Expected to vanish up to truncation
+    error; an h that is not self-adjoint or has |h|_1 > 0.2 is a UsageError.
     """
     if h.n != 2 or theta.n != 2:
         raise UsageError("the Gauss-Bonnet oracle is a rank-2 check")
@@ -491,16 +492,15 @@ def gauss_bonnet_residual(h: FourierElement, theta: SkewMatrix,
     k_applied = _prune(k_applied, support_cap)
     total = _pair_trace(kinv, k_applied)
 
-    # two-variable channel, summed over the flat directions
+    # two-variable channel, summed over the flat directions, by Taylor rows
     for j in (0, 1):
         pow_j = ad_powers(dk[j], series_order)
-        applied = FourierElement.zero(2, "float")
+        rows = [FourierElement.zero(2, "float") for _ in pow_j]
         for a, b, c in gcoeffs:
-            if a + b > series_order:
-                continue
-            prod = _prune(deformed_product(pow_j[a], pow_j[b], theta), support_cap)
-            applied = applied + prod.scaled(float(c))
-        applied = _prune(applied, support_cap)
-        total += _pair_trace(kinv2, applied)
+            if a + b <= series_order:
+                rows[a] = rows[a] + pow_j[b].scaled(float(c))
+        for p_a, row in zip(pow_j, rows):
+            left = _prune(deformed_product(kinv2, p_a, theta), support_cap)
+            total += _pair_trace(left, _prune(row, support_cap))
 
     return abs(total)

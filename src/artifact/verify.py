@@ -22,6 +22,7 @@ from .theta_algebra import FourierElement, SkewMatrix, deformed_product, star, t
 from .symbol_engine import canonicalize, homogeneity_degrees, resolvent_b
 from .cosphere_integrator import derive_rule_constants, pinned_rule_constants
 from .modular_function_engine import (
+    UsageError,
     derive_curvature,
     dim2_quadrature_decomposition,
     eval_function,
@@ -177,8 +178,8 @@ def _matrix(seed: int) -> Iterator[float]:
 
 
 # Fourier support cap of every Gauss-Bonnet residual computed here.  The
-# four modes (+-1, 0), (0, +-1) reach at most 459 modes up to the norm limit
-# |h|_1 = 0.2 (0.8 s for the three theta on a 2-core machine); wider
+# four modes (+-1, 0), (0, +-1) reach at most 460 modes up to the norm limit
+# |h|_1 = 0.2 (0.24-0.35 s for the three theta on a 2-core machine); wider
 # exponents exit 3 with a support-overflow message, since every deformed
 # product costs O(modes^2).
 _GB_SUPPORT_CAP = 500
@@ -207,14 +208,22 @@ def _gauss_bonnet(seed: int) -> Iterator[float]:
               for eps in (0.5, 0.25))
 
 
+def _check_tol(tol: float) -> None:
+    # nan or a negative bound would fail every check, inf pass every one
+    if not 0 <= tol < float("inf"):
+        raise UsageError(f"--tol must be a finite number >= 0, not {tol!r}")
+
+
 def gauss_bonnet_checks(h: Optional[FourierElement], bound: float,
                         ) -> Iterator[Tuple[str, float, float]]:
     """One Gauss-Bonnet residual check per theta for the exponent h (the
-    line mode of the gauss-bonnet suite when None)."""
+    line mode of the gauss-bonnet suite when None); a bound that is not
+    finite and >= 0 is a UsageError."""
+    _check_tol(bound)
     if h is None:
         h = oracle.cos_mode(_LINE_AMPLITUDE)
-    for name, theta in oracle.GB_THETAS:
-        yield f"gauss-bonnet-theta-{name}", _gb_residual(h, theta), bound
+    return ((f"gauss-bonnet-theta-{name}", _gb_residual(h, theta), bound)
+            for name, theta in oracle.GB_THETAS)
 
 
 _ERRORS: Dict[str, Callable[[int], Iterator[float]]] = {
@@ -230,8 +239,10 @@ SUITES: Tuple[str, ...] = tuple(dict.fromkeys(check.suite for check in CHECKS))
 
 def run(suite: str, seed: int, tol: Optional[float]) -> Iterator[Tuple[str, float, float]]:
     """(name, error, bound) of every check of the suite as it completes, in
-    table order; tol, when given, replaces every bound the table marks so."""
+    table order; tol, when given, replaces every bound the table marks so,
+    and must be finite and >= 0 (a UsageError otherwise)."""
+    if tol is not None:
+        _check_tol(tol)
     rows = [check for check in CHECKS if check.suite == suite]
-    for check, err in zip(rows, _ERRORS[suite](seed), strict=True):
-        bound = tol if tol is not None and check.tol_replaces else check.bound
-        yield check.name, err, bound
+    return ((check.name, err, tol if tol is not None and check.tol_replaces else check.bound)
+            for check, err in zip(rows, _ERRORS[suite](seed), strict=True))

@@ -18,6 +18,7 @@ from click.testing import CliRunner
 
 from artifact import cli
 from artifact import verify as checks
+from artifact.modular_function_engine import UsageError
 from artifact.theta_algebra import FourierElement, format_element
 
 CHECK_LINE = re.compile(
@@ -301,6 +302,28 @@ def test_verify_tol_help_names_the_bounds_it_keeps(runner):
     text = " ".join(runner.invoke(cli.main, ["verify", "--help"]).output.split())
     assert ("override the bound of every floating-point check in the suite; "
             "the exact checks and gauss-bonnet-ratio keep theirs") in text
+
+
+@pytest.mark.parametrize("command", [["verify"], ["verify", "--suite", "matrix"],
+                                     ["gauss-bonnet"]], ids=["verify", "verify-matrix",
+                                                             "gauss-bonnet"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+def test_tol_outside_finite_nonnegative_is_a_usage_error(runner, command, tol):
+    result = runner.invoke(cli.main, command + ["--tol", tol])
+    assert result.exit_code == 2
+    assert f"--tol must be a finite number >= 0, not {float(tol)!r}" in result.output
+    assert "CHECK" not in result.output
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-300])
+def test_check_tables_reject_a_bound_before_running(tol):
+    # the engine edge raises at the call, before any oracle runs
+    with pytest.raises(UsageError, match="--tol must be a finite number >= 0"):
+        checks.run("algebra", 0, tol)
+    with pytest.raises(UsageError, match="--tol must be a finite number >= 0"):
+        checks.gauss_bonnet_checks(None, tol)
+    checks.run("algebra", 0, 0.0)
+    checks.gauss_bonnet_checks(None, 0.0)
 
 
 def test_cli_suites_are_the_check_table_suites():
