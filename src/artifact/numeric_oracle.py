@@ -17,14 +17,18 @@ Three oracles, none of which shares code with the exact derivation:
 
 * ``gauss_bonnet_residual`` -- builds the dim-2 curvature density for a
   conformal factor k = exp(h) on the deformed 2-torus by truncated
-  functional calculus (Delta = exp(-ad_h), Taylor coefficients of
-  K(e^z) and G(e^{z1}, e^{z2}) computed exactly from the derived closed
-  forms) and returns |trace|, which the Gauss-Bonnet identity says must
-  vanish up to series/support truncation.
+  functional calculus (Delta = exp(-ad_h)) and returns |trace|, which the
+  Gauss-Bonnet identity says must vanish up to series/support truncation.
+  The Taylor coefficients of K(e^z) and G(e^{z1}, e^{z2}) are exact: each
+  part of the derived closed forms is expanded along rays (e^{a z}, e^{b z})
+  as a quotient of integer power-sum series, and G's coefficients are read
+  off the rays z2 = lam z1 by Newton divided differences, all in Python
+  integers with one Fraction per kept coefficient.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -244,127 +248,108 @@ def matrix_rearrangement_check(dim: int, seed: int, exponents: Sequence[int],
 # exact Taylor data for the functional calculus
 
 
-def _exp_coeffs(k: int, length: int) -> List[Fraction]:
-    """Coefficients of e^(k z) in QQ[[z]] up to z^(length-1)."""
-    out = [Fraction(1)]
-    for n in range(1, length):
-        out.append(out[-1] * k / n)
-    return out
+def _ray_weights(terms: PolyTerms, ray: Tuple[int, int]) -> Dict[int, int]:
+    """P(e^{ray0 z}, e^{ray1 z}) = sum_m w_m e^{m z} for the integer polynomial
+    P = sum c s^i t^j, m = ray0 i + ray1 j; only nonzero w_m are kept."""
+    out: Dict[int, int] = {}
+    for (i, j), c in terms:
+        m = ray[0] * i + ray[1] * j
+        out[m] = out.get(m, 0) + int(c)
+    return {m: w for m, w in out.items() if w}
 
 
-def _poly_ray_series(terms: PolyTerms, ray: Tuple[int, int], length: int) -> List[Fraction]:
-    """Series of P(e^{a z}, e^{b z}) for the polynomial P in (s, t) along
-    the ray (s, t) = (e^{ray0 z}, e^{ray1 z})."""
-    out = [Fraction(0)] * length
-    for (ds, dt), c in terms:
-        ec = _exp_coeffs(ray[0] * ds + ray[1] * dt, length)
-        for n in range(length):
-            out[n] += c * ec[n]
-    return out
-
-
-def _low_index(series: List[Fraction]) -> Optional[int]:
-    for i, c in enumerate(series):
-        if c:
-            return i
-    return None
-
-
-def _series_div(num: List[Fraction], den: List[Fraction], length: int,
-                ) -> Tuple[int, List[Fraction]]:
-    """Laurent division: returns (offset, q) with num/den = sum q[i] z^(offset+i)."""
-    dv = _low_index(den)
-    if dv is None:
-        raise ZeroDivisionError("series division by zero")
-    nv = _low_index(num)
-    if nv is None:
-        return 0, [Fraction(0)] * length
-    dd = den[dv:]
-    nn = num[nv:] + [Fraction(0)] * dv
-    q = [Fraction(0)] * length
-    lead = dd[0]
-    for i in range(length):
-        acc = nn[i] if i < len(nn) else Fraction(0)
-        for j in range(1, min(i, len(dd) - 1) + 1):
-            acc -= dd[j] * q[i - j]
-        q[i] = acc / lead
-    return nv - dv, q
+def _power_sum(weights: Dict[int, int], n: int) -> int:
+    """sum_m w_m m^n: n! times the z^n coefficient of sum_m w_m e^{m z}."""
+    return sum(w * m ** n for m, w in weights.items())
 
 
 def _ray_taylor(f: SymbolicFunction, ray: Tuple[int, int], order: int,
                 ) -> List[Fraction]:
     """Exact Taylor coefficients (z^0 .. z^order) of f(e^{ray0 z}, e^{ray1 z}).
 
-    Individual basis parts may have poles at z = 0; the assembled function
-    is analytic there, which is asserted.
+    Along the ray each part's numerator and denominator are sums of
+    exponentials with integer weights, whose z^n coefficients are power sums
+    over n!.  Both are scaled by (L-1)!, L the series length, so they are
+    integer and the scale cancels in the quotient.  The Laurent quotient is
+    q_i = Q_i / lead^(i+1), lead the denominator's first nonzero coefficient,
+    with integer Q_i; one Fraction is made per kept coefficient.  Individual
+    parts may have poles at z = 0; the assembled function is analytic there,
+    which is asserted.
     """
-    work = order + 14
-    log_factor = {"one": None, "log_s": ray[0], "log_st": ray[0] + ray[1]}
-    # accumulate as Laurent series with a common floor offset
-    floor = 0
+    # the z-power and the factor of each part's log prefactor: log e^(a z) = a z
+    log_factor = {"one": (0, 1), "log_s": (1, ray[0]), "log_st": (1, ray[0] + ray[1])}
     acc: Dict[int, Fraction] = {}
     for tag, (num, den) in f.fraction_terms().items():
         if not num:
             continue
-        lf = log_factor[tag]
-        ns = _poly_ray_series(num, ray, work)
-        ds = _poly_ray_series(den, ray, work)
-        off, q = _series_div(ns, ds, work)
-        if lf is not None:
-            # multiply by log of e^{lf z} = lf * z
-            off += 1
-            q = [c * lf for c in q]
-        floor = min(floor, off)
-        for i, c in enumerate(q):
-            if c:
-                acc[off + i] = acc.get(off + i, Fraction(0)) + c
-    for power in range(floor, 0):
-        if acc.get(power):
+        dw = _ray_weights(den, ray)
+        if not dw:
+            raise ZeroDivisionError("series division by zero")
+        nw = _ray_weights(num, ray)
+        if not nw:
+            continue
+        # the m are distinct, so one of the first len(w) power sums is nonzero
+        nv, dv = (next(n for n in itertools.count() if _power_sum(w, n)) for w in (nw, dw))
+        shift, lf = log_factor[tag]
+        off = nv - dv + shift
+        count = order - off + 1
+        if count <= 0:
+            continue
+        scale = math.factorial(max(nv, dv) + count - 1)
+        nn, dd = ([_power_sum(w, n) * scale // math.factorial(n) for n in range(v, v + count)]
+                  for w, v in ((nw, nv), (dw, dv)))
+        lead_pow = [dd[0] ** i for i in range(count + 1)]
+        q: List[int] = []
+        for i in range(count):
+            q.append(nn[i] * lead_pow[i]
+                     - sum(dd[j] * q[i - j] * lead_pow[j - 1] for j in range(1, i + 1)))
+            if q[i]:
+                acc[off + i] = acc.get(off + i, 0) + Fraction(lf * q[i], lead_pow[i + 1])
+    for power in sorted(acc):
+        if power < 0 and acc[power]:
             raise ArithmeticError(
                 f"ray series has a genuine pole at z = 0 (power {power})"
             )
     return [acc.get(n, Fraction(0)) for n in range(order + 1)]
 
 
-def _solve_vandermonde(lams: Sequence[int], rhs: Sequence[Fraction],
-                       ) -> List[Fraction]:
-    """Solve sum_b c_b lam^b = rhs_lam exactly (Gaussian elimination in QQ)."""
-    n = len(rhs)
-    A = [[Fraction(lam) ** b for b in range(n)] + [rhs[i]]
-         for i, lam in enumerate(lams[:n])]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if A[r][col])
-        A[col], A[piv] = A[piv], A[col]
-        inv = 1 / A[col][col]
-        A[col] = [v * inv for v in A[col]]
-        for r in range(n):
-            if r != col and A[r][col]:
-                f = A[r][col]
-                A[r] = [v - f * w for v, w in zip(A[r], A[col])]
-    return [A[r][n] for r in range(n)]
-
-
 def _bivariate_taylor(f: SymbolicFunction, order: int) -> Dict[Tuple[int, int], Fraction]:
     """Exact coefficients c_(a,b) of f(e^{z1}, e^{z2}) = sum c_(a,b) z1^a z2^b,
     a + b <= order, recovered from the rays z2 = lam * z1, lam = 1..order+1.
 
-    Rays beyond the Vandermonde rank are used as consistency checks.
+    The z^d coefficient along the ray lam is p_d(lam) = sum_b c_(d-b,b) lam^b,
+    of degree <= d.  On the consecutive integer nodes its Newton divided
+    differences are forward differences Delta^k / k!: those of order > d must
+    vanish, which checks the rays beyond the first d+1, and the others give
+    p_d in Newton form, expanded to monomials in integers over the common
+    denominator of the ray values times d!.
     """
-    lams = list(range(1, order + 2))
-    rays = {lam: _ray_taylor(f, (1, lam), order) for lam in lams}
+    rays = [_ray_taylor(f, (1, lam), order) for lam in range(1, order + 2)]
     out: Dict[Tuple[int, int], Fraction] = {}
     for d in range(order + 1):
-        rhs = [rays[lam][d] for lam in lams]
-        coeffs = _solve_vandermonde(lams, rhs[: d + 1])
-        for lam, val in zip(lams[d + 1:], rhs[d + 1:]):
-            check = sum(c * Fraction(lam) ** b for b, c in enumerate(coeffs))
-            if check != val:
+        vals = [ray[d] for ray in rays]
+        den = math.lcm(*(v.denominator for v in vals))
+        row = [v.numerator * (den // v.denominator) for v in vals]
+        diffs = []  # Delta^k of the scaled values at lam = 1
+        while row:
+            diffs.append(row[0])
+            row = [b - a for a, b in zip(row, row[1:])]
+        for k in range(d + 1, order + 1):
+            if diffs[k]:
                 raise ArithmeticError(
-                    f"ray interpolation inconsistent at degree {d}, ray {lam}"
+                    f"ray interpolation inconsistent at degree {d}, ray {k + 1}"
                 )
-        for b, c in enumerate(coeffs):
+        # d! p_d(lam) = sum_k Delta^k (d!/k!) prod_(i<k) (lam - 1 - i), by Horner
+        poly, weight = [diffs[d]], 1
+        for k in range(d - 1, -1, -1):
+            weight *= k + 1
+            poly = [0] + poly
+            for i in range(len(poly) - 1):
+                poly[i] -= (k + 1) * poly[i + 1]
+            poly[0] += diffs[k] * weight
+        for b, c in enumerate(poly):
             if c:
-                out[(d - b, b)] = c
+                out[(d - b, b)] = Fraction(c, den * weight)
     return out
 
 
@@ -446,10 +431,9 @@ def gauss_bonnet_residual(h: FourierElement, theta: SkewMatrix,
     """
     if h.n != 2 or theta.n != 2:
         raise UsageError("the Gauss-Bonnet oracle is a rank-2 check")
-    if series_order < 1:
-        raise ValueError("series_order must be >= 1")
-    if support_cap < 1:
-        raise ValueError("support_cap must be >= 1")
+    for name, value in (("series_order", series_order), ("support_cap", support_cap)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"{name} must be an int >= 1, got {value!r}")
     hf = FourierElement(h.n, h.coeffs, "float")
     if not is_self_adjoint(hf, tol=1e-12):
         raise ExponentNotSelfAdjointError(

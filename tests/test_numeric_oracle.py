@@ -7,13 +7,22 @@ adjudicates the sign and normalization of the derived curvature functions.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from artifact import numeric_oracle as oracle
-from artifact.modular_function_engine import DivergentIntegralError, UsageError, radial_integral
+from artifact.exactnum import RationalFunction
+from artifact.modular_function_engine import (
+    DivergentIntegralError,
+    SymbolicFunction,
+    UsageError,
+    derive_curvature,
+    eval_function,
+    radial_integral,
+)
 from artifact.numeric_oracle import (
     QuadratureSpec,
     SupportOverflowError,
@@ -212,6 +221,64 @@ def test_two_variable_taylor_constant_term():
     assert table[(0, 0)] == Fraction(-1, 12)
 
 
+def _taylor_error(kcoeffs, gcoeffs):
+    """Max relative distance of the truncated sums sum c_n z^n and
+    sum c_ab z1^a z2^b from eval_function(K, e^z) and eval_function(G, e^{z1},
+    e^{z2}) at seeded points with |z1|, |z2| <= 0.05: no series code used."""
+    report = derive_curvature(2, "kdelta")
+    rng = np.random.default_rng(8)
+    worst = 0.0
+    for z1, z2 in rng.uniform(-0.05, 0.05, size=(6, 2)):
+        k_sum = sum(float(c) * z1 ** n for n, c in enumerate(kcoeffs))
+        g_sum = sum(float(c) * z1 ** a * z2 ** b for a, b, c in gcoeffs)
+        k_val = eval_function(report.K, math.exp(z1))
+        g_val = eval_function(report.G, math.exp(z1), math.exp(z2))
+        worst = max(worst, abs(k_sum - k_val) / abs(k_val), abs(g_sum - g_val) / abs(g_val))
+    return worst
+
+
+def test_taylor_data_sums_to_the_closed_forms_near_zero():
+    assert _taylor_error(*oracle._dim2_taylor(8)) < 1e-13
+
+
+def test_taylor_sum_check_sees_a_moved_coefficient():
+    kcoeffs, gcoeffs = oracle._dim2_taylor(8)
+    moved = tuple((a, b, c + Fraction(1, 10**6) if (a, b) == (1, 1) else c)
+                  for a, b, c in gcoeffs)
+    assert _taylor_error(kcoeffs, moved) > 1e-13
+
+
+_SIMPLE_POLE = SymbolicFunction(
+    {"one": RationalFunction({(0, 0): 1}, [({(1, 0): 1, (0, 0): -1}, 1)])})
+
+
+def test_ray_taylor_rejects_a_genuine_pole():
+    # 1/(s - 1) along s = e^z is 1/z + ...
+    with pytest.raises(ArithmeticError, match="genuine pole at z = 0 \\(power -1\\)"):
+        oracle._ray_taylor(_SIMPLE_POLE, (1, 0), 4)
+
+
+def test_ray_taylor_rejects_a_denominator_vanishing_on_the_ray():
+    # s - 1 is identically zero along s = e^(0 z)
+    with pytest.raises(ZeroDivisionError, match="series division by zero"):
+        oracle._ray_taylor(_SIMPLE_POLE, (0, 1), 4)
+
+
+def test_bivariate_taylor_rejects_an_inconsistent_ray(monkeypatch):
+    original = oracle._ray_taylor
+
+    def perturbed(f, ray, order):
+        out = original(f, ray, order)
+        if ray == (1, 5):
+            out[2] += Fraction(1, 10**9)
+        return out
+
+    monkeypatch.setattr(oracle, "_ray_taylor", perturbed)
+    with pytest.raises(ArithmeticError,
+                       match="ray interpolation inconsistent at degree 2, ray 5"):
+        oracle._bivariate_taylor(derive_curvature(2, "kdelta").G, 8)
+
+
 # ---------------------------------------------------------------------------
 # Gauss-Bonnet residual
 # ---------------------------------------------------------------------------
@@ -306,3 +373,11 @@ def test_gauss_bonnet_requires_self_adjoint_exponent():
 def test_gauss_bonnet_exponent_preconditions_are_usage_errors(h):
     with pytest.raises(UsageError):
         gauss_bonnet_residual(h, SkewMatrix.standard_2d(0.0))
+
+
+@pytest.mark.parametrize("name", ["series_order", "support_cap"])
+@pytest.mark.parametrize("value", [8.0, 2.5, True, "8", 0], ids=repr)
+def test_gauss_bonnet_order_and_cap_must_be_positive_ints(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an int >= 1, got {re.escape(repr(value))}"):
+        gauss_bonnet_residual(line_mode_exponent(0.05), SkewMatrix.standard_2d(0.0),
+                              **{name: value})

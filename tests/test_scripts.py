@@ -33,3 +33,15 @@ def test_gauss_bonnet_sweep_prints_a_header_and_one_row_per_theta():
         theta, amp, order, residual = row.split()
         assert (theta, float(amp), int(order)) == (f"{want_theta:.6f}", 0.05, 3)
         assert float(residual) < 1e-6, row
+
+
+def test_gauss_bonnet_sweep_residual_collapses_with_the_order():
+    _, *rows = _run_script("gauss_bonnet_sweep.py", "--orders", "3,12",
+                           "--amps", "0.05").splitlines()
+    by_theta = {}
+    for row in rows:
+        theta, _, order, residual = row.split()
+        by_theta.setdefault(theta, {})[int(order)] = float(residual)
+    assert list(by_theta) == [f"{theta:.6f}" for _, theta in GB_THETAS]
+    for theta, residual in by_theta.items():
+        assert residual[12] < residual[3], theta
