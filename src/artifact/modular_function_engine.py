@@ -41,9 +41,7 @@ with s the modular variable of the first curvature factor and t that of
 the second.  Everything is exact rational / rational-plus-log arithmetic;
 floats appear only in ``eval_function``, which evaluates Horner forms
 compiled from the exact parts, and reports are printed by
-``artifact.printer``.  sympy is imported only to hand out sympy objects
-(``SymbolicFunction.parts``, ``combined``) and to read a part given as a
-sympy expression.
+``artifact.printer``.  sympy is imported only by ``SymbolicFunction.parts``.
 """
 
 from __future__ import annotations
@@ -108,32 +106,10 @@ OPERATORS = ("kdelta", "nc4tori")
 
 @lru_cache(maxsize=None)
 def _symbols():
-    """sympy and its (s, t); imported only for sympy output or sympy input."""
+    """sympy and its (s, t); imported only for ``SymbolicFunction.parts``."""
     import sympy as sp
 
     return (sp,) + sp.symbols("s t", positive=True)
-
-
-def _from_sympy(value) -> RationalFunction:
-    """A sympy expression in (s, t) as a RationalFunction; the denominator
-    is factored once, so any denominator is accepted.  Anything but a
-    rational function with rational coefficients is a ValueError."""
-    sp, S, T = _symbols()
-    expr = sp.sympify(value)
-    try:
-        num, den = sp.fraction(sp.together(expr))
-        coeff, factors = sp.factor_list(den, S, T)
-        polys = [sp.Poly(p, S, T) for p in [num] + [f for f, _ in factors]]
-    except sp.PolynomialError:  # a log, a root or another function of s, t
-        polys = []
-    # any other symbol, a float, I or an infinity lands in the coefficients
-    if not (polys and coeff.is_Rational and all(p.domain in (sp.ZZ, sp.QQ) for p in polys)):
-        raise ValueError(f"{expr}: parts must be rational functions with rational "
-                         "coefficients in the positive symbols s, t")
-    scale = Fraction(int(coeff.p), int(coeff.q))
-    rational = {m: Fraction(int(c.p), int(c.q)) / scale for m, c in polys[0].as_dict().items()}
-    return RationalFunction(rational, [({m: int(c) for m, c in p.as_dict().items()}, e)
-                                       for p, (_, e) in zip(polys[1:], factors)])
 
 
 def _as_rational_function(value) -> RationalFunction:
@@ -141,7 +117,8 @@ def _as_rational_function(value) -> RationalFunction:
         return value
     if isinstance(value, (int, Fraction)):
         return RationalFunction.monomial(0, 0, value)
-    return _from_sympy(value)
+    raise TypeError(f"{type(value).__name__}: parts and factors must be RationalFunction, "
+                    "int or Fraction; tests/sympy_forms.py reads sympy expressions")
 
 
 def _poly_expr(poly: Mapping[Tuple[int, int], Union[int, Fraction]]):
@@ -203,12 +180,10 @@ class SymbolicFunction:
 
         parts["one"] + parts["log_s"]*log(s) + parts["log_st"]*log(s*t).
 
-    Equality is equality of the parts.  A part given as a sympy expression
-    is read once, with its denominator factored by sympy; ``parts`` and
-    ``combined`` return sympy expressions, and are the only other members
-    that import it.  ``render``, ``parts_strings`` and ``repr`` print
-    without it, and ``fraction_terms`` reads each part's exact numerator
-    and denominator.
+    Parts are given as RationalFunction, int or Fraction; anything else is
+    a TypeError.  Equality is equality of the parts.  ``render``,
+    ``parts_strings`` and ``repr`` print the parts, and ``fraction_terms``
+    reads each part's exact numerator and denominator.
     """
 
     __slots__ = ("_parts", "_uses_t", "_fns")
@@ -224,7 +199,9 @@ class SymbolicFunction:
     def parts(self) -> Dict[str, "sp.Expr"]:
         """Each part as a sympy expression, the form sympy's ``cancel``
         gives: integer numerator over expanded integer denominator.  This
-        imports sympy; ``parts_strings`` prints the same parts without it."""
+        imports sympy; ``parts_strings`` prints the same parts without it.
+        The benchmark in ``perfbench`` reads this view, so it goes when the
+        benchmark builds its references from ``fraction_terms``."""
         out = {}
         for tag, v in zip(_BASIS, self._parts):
             num, den = v.fraction()
@@ -244,8 +221,7 @@ class SymbolicFunction:
         )
 
     def scaled(self, factor) -> "SymbolicFunction":
-        """Each part times factor: an int, a Fraction, a RationalFunction or a
-        sympy expression in (s, t)."""
+        """Each part times factor: an int, a Fraction or a RationalFunction."""
         if not isinstance(factor, (int, Fraction)):
             factor = _as_rational_function(factor)
         return SymbolicFunction({tag: v * factor for tag, v in zip(_BASIS, self._parts)})
@@ -276,15 +252,6 @@ class SymbolicFunction:
         if value is None:
             raise ValueError("function depends on (s, t), not a constant")
         return value
-
-    def combined(self) -> "sp.Expr":
-        sp, S, T = _symbols()
-        parts = self.parts
-        return (
-            parts["one"]
-            + parts["log_s"] * sp.log(S)
-            + parts["log_st"] * sp.log(S * T)
-        )
 
     def render(self) -> str:
         """Single-fraction infix form, e.g.
@@ -458,10 +425,6 @@ def extract_signature(term: NCMonomial) -> TermSignature:
             raise SignatureError(
                 f"unsupported signature: curvature factor pattern {rho_kinds}"
             )
-        if sdelta:
-            raise SignatureError(
-                "unsupported signature: scalar atom mixed with curvature factors"
-            )
         if ginv_slots is None:
             raise SignatureError(
                 "unsupported signature: curvature factors lack a metric contraction"
@@ -597,7 +560,24 @@ def operator_symbols(operator: str) -> Dict[str, NCExpression]:
     raise UsageError(f"unknown operator {operator!r}; choose from {OPERATORS}")
 
 
+# each channel's k power in the report, relative to -m/2
 _CHANNEL_OFFSET = {"hess": 0, "gradgrad": -1, "scalar": 1}
+
+
+def _signatures(m: int, operator: str):
+    """The signature of every sphere-averaged b_2 word of operator in
+    dimension m, each checked to carry its channel's k power."""
+    averaged = sphere_average(resolvent_b(2, operator_symbols(operator)), m)
+    for term in averaged.terms:
+        sig = extract_signature(term)
+        final_k = sig.k_total - sig.r_power - m // 2
+        expected = _CHANNEL_OFFSET[sig.channel] - m // 2
+        if final_k != expected:
+            raise SignatureError(
+                f"unsupported signature: channel {sig.channel} carries k power "
+                f"{final_k}, expected {expected}"
+            )
+        yield sig
 
 
 @dataclass(frozen=True)
@@ -710,21 +690,10 @@ def derive_curvature(m: int, operator: str) -> CurvatureReport:
     if operator == "nc4tori" and m != 4:
         raise UsageError("the nc4tori operator is defined only at dim 4")
 
-    b2 = resolvent_b(2, operator_symbols(operator))
-    averaged = sphere_average(b2, m)
-
     K = SymbolicFunction()
     G = SymbolicFunction()
     c_scalar = Fraction(0)
-    for term in averaged.terms:
-        sig = extract_signature(term)
-        final_k = sig.k_total - sig.r_power - m // 2
-        expected = _CHANNEL_OFFSET[sig.channel] - m // 2
-        if final_k != expected:
-            raise SignatureError(
-                f"unsupported signature: channel {sig.channel} carries k power "
-                f"{final_k}, expected {expected}"
-            )
+    for sig in _signatures(m, operator):
         value = integrate_dim_m(sig, m)
         if sig.channel == "hess":
             K = K + value
@@ -733,11 +702,7 @@ def derive_curvature(m: int, operator: str) -> CurvatureReport:
         else:
             c_scalar += value.constant_value()
 
-    k_powers = (
-        ("hess", -(m // 2)),
-        ("gradgrad", -(m // 2) - 1),
-        ("scalar", -(m // 2) + 1),
-    )
+    k_powers = tuple((ch, offset - m // 2) for ch, offset in _CHANNEL_OFFSET.items())
     return CurvatureReport(
         dim=m,
         operator=operator,
@@ -762,10 +727,8 @@ def dim2_quadrature_decomposition(which: str) -> Tuple[
     if which not in ("K", "G"):
         raise UsageError("which must be K or G")
     channel = "hess" if which == "K" else "gradgrad"
-    averaged = sphere_average(resolvent_b(2, operator_symbols("kdelta")), 2)
     pieces: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Fraction] = {}
-    for term in averaged.terms:
-        sig = extract_signature(term)
+    for sig in _signatures(2, "kdelta"):
         if sig.channel != channel:
             continue
         key = (sig.b0_exponents, sig.modular_shifts)

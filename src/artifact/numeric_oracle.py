@@ -152,14 +152,10 @@ def _quad_raw(scales: np.ndarray, exps: Sequence[int], w: int,
 
 
 def quad_r_integral(exponents: Sequence[int], s: float, t: float = 1.0,
-                    spec: Optional[QuadratureSpec] = None,
-                    r_power: Optional[int] = None) -> float:
+                    spec: Optional[QuadratureSpec] = None) -> float:
     """Numeric value of int_0^oo K_(p,q)(s, r) dr or int_0^oo
-    H_(p,q,l)(s,t,r) dr within spec.abs_tol.
-
-    The radial power defaults to the family's own p+q[+l]-2; passing any
-    other value is a signature bug upstream and is rejected as divergent.
-    """
+    H_(p,q,l)(s,t,r) dr within spec.abs_tol, at the family's own radial
+    power p+q[+l]-2."""
     spec = spec or QuadratureSpec()
     exps = tuple(int(e) for e in exponents)
     if len(exps) not in (2, 3):
@@ -167,8 +163,8 @@ def quad_r_integral(exponents: Sequence[int], s: float, t: float = 1.0,
     if s <= 0 or t <= 0:
         raise UsageError("s and t must be positive")
     total = sum(exps)
-    w = total - 2 if r_power is None else r_power
-    if total < 2 or w != total - 2 or min(exps) < 0:
+    w = total - 2
+    if total < 2 or min(exps) < 0:
         raise DivergentIntegralError(
             f"divergent integral: family exponents {exps} with radial power {w}"
         )

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -341,8 +342,8 @@ def test_cli_import_loads_neither_numpy_nor_the_oracles():
 
 
 def test_cold_commands_do_not_load_sympy():
-    # sympy only hands out sympy objects and reads sympy input; computing and
-    # printing never need it
+    # computing and printing never need sympy: with its import blocked every
+    # command runs, and derive_all.py prints what it prints with sympy present
     derives = [["derive", "--dim", str(dim), "--operator", operator, "--format", fmt]
                for dim, operator in [(2, "kdelta"), (4, "kdelta"), (6, "kdelta"),
                                      (8, "kdelta"), (4, "nc4tori")]
@@ -352,15 +353,23 @@ def test_cold_commands_do_not_load_sympy():
         ["eval", "--dim", "4", "--operator", "nc4tori", "--which", "K", "--s", "2"],
         ["table", "--which", "G", "--s-range", "0.5:1.5:3", "--t-range", "0.5:1.5:3"],
         ["gauss-bonnet"]]
-    code = ("import sys, artifact.cli as cli\n"
+    block = "import sys\nsys.modules['sympy'] = None  # import sympy now fails\n"
+    code = (block + "import artifact.cli as cli\n"
             f"for argv in {commands!r}:\n"
             "    cli.main(argv, standalone_mode=False)\n"
             "print(repr(cli.derive_curvature(2, 'kdelta').G))\n"
-            "print('sympy' in sys.modules)")
+            "print(sys.modules['sympy'] is None)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.splitlines()[-1] == "False"
+
+    def run(*args):
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              text=True, check=True).stdout
+
+    assert run("-c", code).splitlines()[-1] == "True"
+    script = str(Path(__file__).resolve().parent.parent / "scripts" / "derive_all.py")
+    blocked = run("-c", block + f"import runpy\nsys.argv = [{script!r}, '--json']\n"
+                  "runpy.run_path(sys.argv[0], run_name='__main__')")
+    assert blocked == run(script, "--json")
 
 
 def test_internal_error_reports_stage_and_exits_three(runner, monkeypatch):

@@ -23,6 +23,7 @@ from artifact.modular_function_engine import (
     radial_integral,
 )
 from artifact.symbol_engine import resolvent_b
+from sympy_forms import combined
 
 S, T = sp.symbols("s t", positive=True)
 
@@ -76,7 +77,7 @@ def worst_error(integrator):
     with mp.workdps(DPS):
         for m in DIMS:
             for exps in FAMILIES:
-                closed = sp.lambdify((S, T), integrator(exps, m).combined(), "mpmath")
+                closed = sp.lambdify((S, T), combined(integrator(exps, m)), "mpmath")
                 for s, t in seeded_points(10 * m + len(exps)):
                     sv, tv = mp.mpf(s), mp.mpf(t)
                     ref = opitz_value(exps, m, s, t)

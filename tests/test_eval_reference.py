@@ -18,6 +18,7 @@ import pytest
 import sympy as sp
 
 from artifact.modular_function_engine import SymbolicFunction, derive_curvature, eval_function
+from sympy_forms import from_sympy
 
 S, T = sp.symbols("s t", positive=True)
 
@@ -100,7 +101,7 @@ def test_eval_matches_the_lambdified_parts_bit_for_bit(dim, operator, which):
 @pytest.mark.parametrize("which", ["K", "G"])
 def test_printed_parts_read_back_to_the_same_function(dim, operator, which):
     f = getattr(derive_curvature(dim, operator), which)
-    g = SymbolicFunction(f.parts)
+    g = from_sympy(f.parts)
     assert g == f and hash(g) == hash(f)
 
 
@@ -116,7 +117,7 @@ BUILT = [
 
 @pytest.mark.parametrize("parts", BUILT, ids=["constant", "polynomial", "other-factors"])
 def test_eval_of_built_functions_matches_the_reference(parts):
-    f = SymbolicFunction(parts)
+    f = from_sympy(parts)
     rng = random.Random(repr(parts))
     for s, t in _points(rng, True):
         assert eval_function(f, s, t).hex() == reference_eval(f, s, t).hex(), (s, t)

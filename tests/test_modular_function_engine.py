@@ -27,6 +27,7 @@ from artifact.modular_function_engine import (
     scalar_profile,
 )
 from artifact.numeric_oracle import quad_r_integral
+from sympy_forms import from_sympy, from_sympy_part
 
 S, T = sp.symbols("s t", positive=True)
 
@@ -96,6 +97,12 @@ def test_signature_rejects_three_rho_factors():
         extract_signature(e.terms[0])
 
 
+def test_signature_rejects_scalar_atom_beside_a_curvature_factor():
+    e = parse_expression("1 * b0^2 * k * HessK[a,b] * b0 * Ginv[a,b] * SDelta")
+    with pytest.raises(SignatureError, match="scalar atom mixed with curvature factors"):
+        extract_signature(e.terms[0])
+
+
 def test_signature_rejects_unaveraged_vertical_atoms():
     e = parse_expression("1 * b0^2 * k * HessK[a,b] * b0 * Xi2 * DXi2[a] * DXi2[b]")
     with pytest.raises(SignatureError):
@@ -158,9 +165,9 @@ def test_integrate_folds_prefactor_shift_and_half_measure():
 
 
 def test_dim4_family_values():
-    assert radial_integral((3, 1), 4) == SymbolicFunction({"one": 1 / S})
-    assert radial_integral((1, 1), 4) == SymbolicFunction({"one": 1 / S})
-    assert radial_integral((2, 2, 1), 4) == SymbolicFunction({"one": 1 / (S**3 * T)})
+    assert radial_integral((3, 1), 4) == from_sympy({"one": 1 / S})
+    assert radial_integral((1, 1), 4) == from_sympy({"one": 1 / S})
+    assert radial_integral((2, 2, 1), 4) == from_sympy({"one": 1 / (S**3 * T)})
 
 
 def test_dim6_derivative_oracle():
@@ -365,7 +372,7 @@ def test_eval_rejects_non_finite_arguments(s, t):
 
 def test_symbolic_function_equality_and_zero():
     f = radial_integral((1, 1), 2)
-    g = SymbolicFunction({"log_s": sp.Rational(1, 1) / (S - 1)})
+    g = from_sympy({"log_s": sp.Rational(1, 1) / (S - 1)})
     assert f == g
     assert (f - g).is_zero()
     assert not f.is_zero()
@@ -377,12 +384,20 @@ def test_symbolic_function_equality_and_zero():
                               "symbol-in-denominator"])
 def test_sympy_part_outside_rational_functions_is_a_value_error(part):
     with pytest.raises(ValueError) as info:
-        SymbolicFunction({"log_s": part})
+        from_sympy({"log_s": part})
     assert str(info.value) == (f"{part}: parts must be rational functions with rational "
                                "coefficients in the positive symbols s, t")
     # the factors sympy input is read with keep working
-    g = SymbolicFunction({"log_s": (3 * S - 2) / (S + 2 * T)})
+    g = from_sympy({"log_s": (3 * S - 2) / (S + 2 * T)})
     assert g.parts["log_s"] == (3 * S - 2) / (S + 2 * T)
+
+
+@pytest.mark.parametrize("build", [lambda: SymbolicFunction({"one": S}),
+                                   lambda: radial_integral((1, 1), 2).scaled(S)],
+                         ids=["part", "factor"])
+def test_sympy_input_is_a_type_error_naming_the_helper(build):
+    with pytest.raises(TypeError, match="tests/sympy_forms.py"):
+        build()
 
 
 def test_fraction_terms_read_each_part_exactly():
@@ -416,13 +431,13 @@ def _canonical(expr) -> str:
 def test_symbolic_function_parts_are_the_cancelled_expressions(p, q, c):
     # the golden reports and the benchmark's references print and re-read
     # these parts, so they must print as sympy's cancel prints
-    f, g = SymbolicFunction(p), SymbolicFunction(q)
+    f, g = from_sympy(p), from_sympy(q)
     for tag in p:
         assert str(f.parts[tag]) == _canonical(p[tag])
         assert str((f + g).parts[tag]) == _canonical(p[tag] + q[tag])
-        assert str(f.scaled(c).parts[tag]) == _canonical(c * p[tag])
+        assert str(f.scaled(from_sympy_part(c)).parts[tag]) == _canonical(c * p[tag])
     assert (f == g) == all(_canonical(p[tag] - q[tag]) == "0" for tag in p)
-    rewritten = SymbolicFunction({tag: sp.expand(sp.together(e)) for tag, e in p.items()})
+    rewritten = from_sympy({tag: sp.expand(sp.together(e)) for tag, e in p.items()})
     assert rewritten == f and hash(rewritten) == hash(f)
 
 
@@ -431,6 +446,6 @@ def test_symbolic_function_parts_are_the_cancelled_expressions(p, q, c):
 def test_products_cancel_to_the_cancelled_expressions(p, n, d):
     # scaling by a rational function cancels its numerator against the
     # parts' factored denominators and the parts' numerators against its own
-    f = SymbolicFunction(p).scaled(n / d)
+    f = from_sympy(p).scaled(from_sympy_part(n / d))
     for tag in p:
         assert str(f.parts[tag]) == _canonical(p[tag] * n / d)

@@ -86,11 +86,6 @@ def test_quadrature_rejects_divergent_families(exponents):
         quad_r_integral(exponents, 2.0)
 
 
-def test_quadrature_rejects_radial_power_mismatch():
-    with pytest.raises(DivergentIntegralError):
-        quad_r_integral((2, 1), 2.0, r_power=2)
-
-
 @pytest.mark.parametrize("s", [1e-9, 1e9])
 def test_quadrature_extreme_scale_matches_the_closed_form(s):
     # integral of 1/((r+1)(s r+1)) over [0, inf) is log(1/s)/(1-s)
