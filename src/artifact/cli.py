@@ -7,7 +7,8 @@ exits 2.
 
 The checks behind `verify` and `gauss-bonnet` live in ``artifact.verify``;
 those two commands import it (and with it numpy and the oracles) when they
-run, so `derive`, `eval` and `table` load only the derivation engine.
+run, so `derive`, `eval` and `table` load only the derivation engine; `eval`
+and `table` add mpmath at their first evaluation.
 """
 
 from __future__ import annotations

@@ -40,8 +40,9 @@ The dimension-2 families integrated here are
 with s the modular variable of the first curvature factor and t that of
 the second.  Everything is exact rational / rational-plus-log arithmetic;
 floats appear only in ``eval_function``, which evaluates Horner forms
-compiled from the exact parts, and reports are printed by
-``artifact.printer``.  sympy is imported only by ``SymbolicFunction.parts``.
+compiled from the exact parts over mpmath, and reports are printed by
+``artifact.printer``.  mpmath is imported only on that evaluation path, at
+its first call; sympy only by ``SymbolicFunction.parts``.
 """
 
 from __future__ import annotations
@@ -52,8 +53,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, inf
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
-
-import mpmath as mp
 
 from .exactnum import RationalFunction
 from .symbol_engine import (
@@ -156,6 +155,8 @@ def _compile(part: RationalFunction):
     """part as a function of mpf (s, t), its Horner numerator over its Horner
     denominator; None for a zero part.  A constant part divides as mpf, at
     the working precision of the call."""
+    import mpmath as mp
+
     num, den = part.fraction()
     if not num:
         return None
@@ -277,6 +278,8 @@ class SymbolicFunction:
         return self._uses_t
 
     def _eval_mp(self, sv, tv):
+        import mpmath as mp
+
         if self._fns is None:
             # Horner forms need fewer mpf operations than the expanded parts
             # (the limit path runs at 90 digits); a zero part skips its log
@@ -294,7 +297,10 @@ def eval_function(f: SymbolicFunction, s: float, t: float = 1.0) -> float:
     """Numeric value of f at (s, t); near the removable set {s=1, t=1,
     st=1} (only s = 1 when t occurs in no part of f) a 4-point polynomial
     limit along the ray (s(1+e), t(1+e)) is used instead of direct
-    substitution."""
+    substitution.  mpmath is imported here, at the first evaluation, so a
+    derivation never loads it."""
+    import mpmath as mp
+
     if not (0 < s < inf and 0 < t < inf):
         raise UsageError("eval_function requires 0 < s < inf and 0 < t < inf")
     with mp.workdps(60):

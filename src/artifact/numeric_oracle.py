@@ -49,6 +49,7 @@ from .theta_algebra import (
 from .modular_function_engine import (
     DivergentIntegralError,
     PolyTerms,
+    SignatureError,
     SymbolicFunction,
     UsageError,
     derive_curvature,
@@ -162,9 +163,11 @@ def quad_r_integral(exponents: Sequence[int], s: float, t: float = 1.0,
         raise ValueError("family must be K(p, q) or H(p, q, l)")
     if s <= 0 or t <= 0:
         raise UsageError("s and t must be positive")
+    if min(exps) < 0:
+        raise SignatureError("unsupported signature: negative block exponent")
     total = sum(exps)
     w = total - 2
-    if total < 2 or min(exps) < 0:
+    if total < 2:
         raise DivergentIntegralError(
             f"divergent integral: family exponents {exps} with radial power {w}"
         )

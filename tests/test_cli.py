@@ -333,7 +333,7 @@ def test_cli_suites_are_the_check_table_suites():
 
 def test_cli_import_loads_neither_numpy_nor_the_oracles():
     code = ("import sys, artifact.cli; "
-            "print(sorted(m for m in ('numpy', 'artifact.numeric_oracle', "
+            "print(sorted(m for m in ('numpy', 'mpmath', 'artifact.numeric_oracle', "
             "'artifact.theta_algebra', 'artifact.verify') if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -341,14 +341,57 @@ def test_cli_import_loads_neither_numpy_nor_the_oracles():
     assert out.strip() == "[]"
 
 
+# every shipped report, in json and text
+DERIVES = [["derive", "--dim", str(dim), "--operator", operator, "--format", fmt]
+           for dim, operator in [(2, "kdelta"), (4, "kdelta"), (6, "kdelta"),
+                                 (8, "kdelta"), (4, "nc4tori")]
+           for fmt in ("json", "text")]
+
+
+def test_only_evaluating_commands_load_mpmath():
+    # mpmath is imported at the first evaluation: with its import blocked the
+    # commands that never evaluate print what they print with it present,
+    # while eval and table reach it and stop with exit 3
+    commands = DERIVES + [["gauss-bonnet"], ["verify", "--suite", "symbols"],
+                          ["verify", "--suite", "gauss-bonnet"]]
+    script = str(Path(__file__).resolve().parent.parent / "scripts" / "derive_all.py")
+    code = ("import contextlib, io, json, runpy, sys\n"
+            "{block}"
+            "import artifact.cli as cli\n"
+            "outputs = []\n"
+            f"for argv in {commands!r} + [None]:\n"
+            "    buf = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(buf):\n"
+            "        if argv is None:\n"
+            f"            sys.argv = [{script!r}, '--json']\n"
+            "            runpy.run_path(sys.argv[0], run_name='__main__')\n"
+            "        else:\n"
+            "            cli.main(argv, standalone_mode=False)\n"
+            "    outputs.append(buf.getvalue())\n"
+            "outputs.append(sys.modules.get('mpmath') is None)  # never loaded\n"
+            "print(json.dumps(outputs))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+
+    def run(code):
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True)
+
+    block = "import sys\nsys.modules['mpmath'] = None  # import mpmath now fails\n"
+    blocked = json.loads(run(code.format(block=block)).stdout)
+    assert blocked == json.loads(run(code.format(block="")).stdout)
+    assert all(blocked)
+    for argv in (["eval", "--which", "G", "--s", "2.3", "--t", "0.7"],
+                 ["table", "--which", "K", "--s-range", "0.5:1.5:2"]):
+        stopped = run(block + f"import artifact.cli as cli\ncli.main({argv!r})\n")
+        assert stopped.returncode == 3, stopped.stderr
+        assert "internal error at stage" in stopped.stderr
+        assert "mpmath" in stopped.stderr
+
+
 def test_cold_commands_do_not_load_sympy():
     # computing and printing never need sympy: with its import blocked every
     # command runs, and derive_all.py prints what it prints with sympy present
-    derives = [["derive", "--dim", str(dim), "--operator", operator, "--format", fmt]
-               for dim, operator in [(2, "kdelta"), (4, "kdelta"), (6, "kdelta"),
-                                     (8, "kdelta"), (4, "nc4tori")]
-               for fmt in ("json", "text")]
-    commands = derives + [
+    commands = DERIVES + [
         ["eval", "--which", "G", "--s", "2.3", "--t", "0.7"],
         ["eval", "--dim", "4", "--operator", "nc4tori", "--which", "K", "--s", "2"],
         ["table", "--which", "G", "--s-range", "0.5:1.5:3", "--t-range", "0.5:1.5:3"],

@@ -17,6 +17,7 @@ from artifact import numeric_oracle as oracle
 from artifact.exactnum import RationalFunction
 from artifact.modular_function_engine import (
     DivergentIntegralError,
+    SignatureError,
     SymbolicFunction,
     UsageError,
     derive_curvature,
@@ -84,6 +85,18 @@ def test_quadrature_two_family_weighted_value():
 def test_quadrature_rejects_divergent_families(exponents):
     with pytest.raises(DivergentIntegralError):
         quad_r_integral(exponents, 2.0)
+    with pytest.raises(DivergentIntegralError):
+        radial_integral(exponents, 2)
+
+
+@pytest.mark.parametrize("exponents", [(3, -1), (-1, 3), (2, -1, 1)])
+def test_both_integrators_reject_a_negative_exponent_as_a_signature(exponents):
+    # a negative block exponent is a malformed signature, not a divergence,
+    # even where the exponents sum to 2 or more
+    with pytest.raises(SignatureError, match="negative block exponent"):
+        quad_r_integral(exponents, 2.0)
+    with pytest.raises(SignatureError, match="negative block exponent"):
+        radial_integral(exponents, 2)
 
 
 @pytest.mark.parametrize("s", [1e-9, 1e9])
