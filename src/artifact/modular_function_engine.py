@@ -39,10 +39,10 @@ The dimension-2 families integrated here are
 
 with s the modular variable of the first curvature factor and t that of
 the second.  Everything is exact rational / rational-plus-log arithmetic;
-floats appear only in ``eval_function``, which evaluates Horner forms
-compiled from the exact parts over mpmath, and reports are printed by
-``artifact.printer``.  mpmath is imported only on that evaluation path, at
-its first call; sympy only by ``SymbolicFunction.parts``.
+floats appear only in ``eval_function`` (Horner forms of the exact parts,
+or of their exact restriction to s = 1 or t = 1, over mpmath), and reports
+are printed by ``artifact.printer``; mpmath is imported only on that path,
+at its first call, and sympy only by ``SymbolicFunction.parts``.
 """
 
 from __future__ import annotations
@@ -51,10 +51,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, inf
+from math import comb, factorial, inf, perm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .exactnum import RationalFunction
+from .exactnum import RationalFunction, poly_add
 from .symbol_engine import (
     NCExpression,
     NCMonomial,
@@ -187,7 +187,7 @@ class SymbolicFunction:
     reads each part's exact numerator and denominator.
     """
 
-    __slots__ = ("_parts", "_uses_t", "_fns")
+    __slots__ = ("_parts", "_uses_t", "_fns", "_restrictions")
 
     def __init__(self, parts: Optional[Mapping[str, object]] = None):
         src = parts or {}
@@ -195,6 +195,7 @@ class SymbolicFunction:
         # set once, since eval_function asks on every call
         self._uses_t = any(v.uses_t() for v in self._parts)
         self._fns = None
+        self._restrictions = {}
 
     @property
     def parts(self) -> Dict[str, "sp.Expr"]:
@@ -292,17 +293,66 @@ class SymbolicFunction:
             value += fst(sv, tv) * mp.log(sv * tv)
         return value
 
+    def _restriction(self, axis: str) -> "SymbolicFunction":
+        """f on s = 1 (axis "s") or t = 1 (axis "t"), exactly, as a function of
+        the other variable y renamed s.  Over the parts' common denominator
+        (x - 1)^a D, x the axis variable, f = N / ((x - 1)^a D) is finite on the
+        axis, so there f = d^a N / dx^a / (a! D) (L'Hopital), with d^k log x at
+        x = 1 taken in by Leibniz' rule and log(st) = log y."""
+        if axis not in self._restrictions:
+            x = "st".index(axis)
+            # sorted, each factor's highest power comes last and stays
+            den = dict(sorted(pair for part in self._parts for pair in part.factors))
+            one, log_s, log_st = (part.numerator_over(den) for part in self._parts)
+            a = den.pop((((1 - x, x), 1), ((0, 0), -1)), 0)  # s - 1 or t - 1
+            both = poly_add(log_s, log_st)
+            log_x, log_y = (both, log_st) if x == 0 else (log_st, both)
+            scale = Fraction(1, factorial(a))
+            num = _on_axis(one, x, a, scale)
+            for k in range(1, a + 1):
+                weight = scale * comb(a, k) * _log_derivative(k)
+                num = poly_add(num, _on_axis(log_x, x, a - k, weight))
+            factors = [(_on_axis(dict(fac), x, 0), e) for fac, e in den.items()]
+            self._restrictions[axis] = SymbolicFunction(
+                {"one": RationalFunction(num, factors),
+                 "log_s": RationalFunction(_on_axis(log_y, x, a, scale), factors)})
+        return self._restrictions[axis]
+
+
+def _log_derivative(k: int) -> int:
+    """d^k/dx^k log x at x = 1, for k >= 1."""
+    return (-1) ** (k - 1) * factorial(k - 1)
+
+
+def _on_axis(poly, x: int, n: int, weight=1):
+    """weight * d^n poly / dv^n at v = 1, v = (s, t)[x], in the other variable renamed s."""
+    out: Dict = {}
+    for mono, c in poly.items():
+        key = (mono[1 - x], 0)
+        out[key] = out.get(key, 0) + c * weight * perm(mono[x], n)
+    return {m: c for m, c in out.items() if c}
+
 
 def eval_function(f: SymbolicFunction, s: float, t: float = 1.0) -> float:
-    """Numeric value of f at (s, t); near the removable set {s=1, t=1,
-    st=1} (only s = 1 when t occurs in no part of f) a 4-point polynomial
-    limit along the ray (s(1+e), t(1+e)) is used instead of direct
-    substitution.  mpmath is imported here, at the first evaluation, so a
-    derivation never loads it."""
-    import mpmath as mp
-
+    """Numeric value of f at (s, t) by one of three routes.  1e-4 or more off the
+    removable set {s=1, t=1, st=1} (s = 1 alone if t occurs in no part of f):
+    the parts' Horner forms at 60 digits.  Exactly on s = 1 or t = 1: f's exact
+    restriction to that line at the other variable, so (1, 1) is exact.  Over
+    the five reports a restriction has a pole of order at most 4 at x = 1 (dim-2
+    G), which cancels 16 of the 60 digits at a gap of 1e-4 and leaves 44.  Else
+    near the set, and on st = 1: a 4-point polynomial limit along the ray
+    (s(1+e), t(1+e)) at 90 digits.  mpmath is imported at the first evaluation
+    that needs it, so a derivation never loads it."""
     if not (0 < s < inf and 0 < t < inf):
         raise UsageError("eval_function requires 0 < s < inf and 0 < t < inf")
+    if not (f._parts[1] or f._parts[2]) and f._parts[0].constant() is not None:
+        return float(f._parts[0].constant())
+    if s == 1.0:
+        return eval_function(f._restriction("s"), t)
+    if t == 1.0 and f.uses_t():
+        return eval_function(f._restriction("t"), s)
+    import mpmath as mp
+
     with mp.workdps(60):
         sv = mp.mpf(s)
         tv = mp.mpf(t)

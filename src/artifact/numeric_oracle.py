@@ -161,8 +161,8 @@ def quad_r_integral(exponents: Sequence[int], s: float, t: float = 1.0,
     exps = tuple(int(e) for e in exponents)
     if len(exps) not in (2, 3):
         raise ValueError("family must be K(p, q) or H(p, q, l)")
-    if s <= 0 or t <= 0:
-        raise UsageError("s and t must be positive")
+    if not (0 < s < math.inf and 0 < t < math.inf):
+        raise UsageError("quad_r_integral requires 0 < s < inf and 0 < t < inf")
     if min(exps) < 0:
         raise SignatureError("unsupported signature: negative block exponent")
     total = sum(exps)
@@ -213,7 +213,7 @@ def matrix_rearrangement_check(dim: int, seed: int, exponents: Sequence[int],
         kappa = rng.uniform(0.2, 5.0, size=dim)
     else:
         kappa = np.asarray(eigenvalues, dtype=float)
-        if kappa.shape != (dim,) or np.any(kappa <= 0):
+        if kappa.shape != (dim,) or not np.all(np.isfinite(kappa) & (kappa > 0)):
             raise ValueError("eigenvalues must be dim positive numbers")
     closed = radial_integral(exps, 2)
     grid = np.meshgrid(*([kappa] * len(exps)), indexing="ij")

@@ -6,7 +6,14 @@ sp.horner(denominator), summed on the basis {1, log s, log(st)} at 60 digits
 off the removable set {s = 1, t = 1, st = 1}, and extrapolated to the set by
 the same 4-point Neville limit at 90 digits within 1e-4 of it.  The engine
 compiles its Horner forms without sympy and must give the same floats, bit
-for bit, for K and G of every shipped report.
+for bit, for K and G of every shipped report, exactly on s = 1 and t = 1
+too, where it evaluates an exact restriction instead of the limit.
+
+For the built functions the points exactly on s = 1 or t = 1 are checked
+against ``exact_on_set``, sympy's limit onto that line at the other
+variable's exact value, to 60 digits: there the engine's value is exact,
+and the Neville limit of a function that vanishes on the line leaves a
+residue of about 1e-19.
 """
 
 import functools
@@ -18,7 +25,7 @@ import pytest
 import sympy as sp
 
 from artifact.modular_function_engine import SymbolicFunction, derive_curvature, eval_function
-from sympy_forms import from_sympy
+from sympy_forms import combined, from_sympy
 
 S, T = sp.symbols("s t", positive=True)
 
@@ -65,6 +72,14 @@ def reference_eval(f: SymbolicFunction, s: float, t: float = 1.0) -> float:
         return float(vals[0])
 
 
+def exact_on_set(f: SymbolicFunction, s: float, t: float = 1.0) -> float:
+    """f on s = 1 (or on t = 1) as sympy's limit s -> 1 (t -> 1) at the exact
+    rational value of the other variable, evaluated to 60 digits."""
+    axis, other, value = (S, T, t) if s == 1.0 else (T, S, s)
+    line = combined(f).subs(other, sp.Rational(value))
+    return float(sp.limit(line, axis, 1).evalf(60))
+
+
 def _points(rng: random.Random, two_variable: bool):
     """30 regular points, then points on each component of the removable set
     (s = 1 only for K), each with a neighbour 1e-9 to 5e-5 off it."""
@@ -88,12 +103,16 @@ def _points(rng: random.Random, two_variable: bool):
     return points
 
 
+# far out along each line of the removable set
+EXTREME = [(1.0, math.exp(30)), (1.0, math.exp(-30)), (math.exp(30), 1.0), (math.exp(-30), 1.0)]
+
+
 @pytest.mark.parametrize("dim, operator", CASES)
 @pytest.mark.parametrize("which", ["K", "G"])
 def test_eval_matches_the_lambdified_parts_bit_for_bit(dim, operator, which):
     f = getattr(derive_curvature(dim, operator), which)
     rng = random.Random(f"{operator}-{dim}-{which}")
-    for s, t in _points(rng, which == "G"):
+    for s, t in _points(rng, which == "G") + EXTREME:
         assert eval_function(f, s, t).hex() == reference_eval(f, s, t).hex(), (s, t)
 
 
@@ -120,4 +139,6 @@ def test_eval_of_built_functions_matches_the_reference(parts):
     f = from_sympy(parts)
     rng = random.Random(repr(parts))
     for s, t in _points(rng, True):
-        assert eval_function(f, s, t).hex() == reference_eval(f, s, t).hex(), (s, t)
+        on_set = s == 1.0 or (t == 1.0 and f.uses_t())
+        want = (exact_on_set if on_set else reference_eval)(f, s, t)
+        assert eval_function(f, s, t).hex() == want.hex(), (s, t)

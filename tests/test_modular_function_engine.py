@@ -338,6 +338,38 @@ def test_eval_dim2_G_corner_is_exact():
     assert eval_function(report.G, 1.0, 1.0) == -1.0 / 12.0
 
 
+REPORTS = [(2, "kdelta"), (4, "kdelta"), (6, "kdelta"), (8, "kdelta"), (4, "nc4tori")]
+BELOW, ABOVE = math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
+
+
+@pytest.mark.parametrize("dim, operator", REPORTS)
+@pytest.mark.parametrize("which", ["K", "G"])
+def test_eval_is_continuous_across_the_lines_s_1_and_t_1(dim, operator, which):
+    # exactly on the line the restriction is evaluated, one ulp off it the
+    # Neville limit: the two routes must meet
+    f = getattr(derive_curvature(dim, operator), which)
+    for y in (0.3, 1.7, 6.0):
+        on = eval_function(f, 1.0, y)
+        for off in (BELOW, ABOVE):
+            assert math.isclose(eval_function(f, off, y), on, rel_tol=1e-13), (off, y)
+        if which == "G":
+            on = eval_function(f, y, 1.0)
+            for off in (BELOW, ABOVE):
+                assert math.isclose(eval_function(f, y, off), on, rel_tol=1e-13), (y, off)
+
+
+@pytest.mark.parametrize("dim, operator", REPORTS)
+@pytest.mark.parametrize("which", ["K", "G"])
+def test_eval_at_the_corner_is_the_double_restriction(dim, operator, which):
+    f = getattr(derive_curvature(dim, operator), which)
+    corner = f._restriction("s")._restriction("s").constant_value()
+    assert eval_function(f, 1.0, 1.0) == float(corner)
+    if f.uses_t():
+        assert f._restriction("t")._restriction("s").constant_value() == corner
+    if dim == 2:
+        assert corner == (Fraction(1, 12) if which == "K" else Fraction(-1, 12))
+
+
 def test_eval_of_t_free_function_ignores_t(monkeypatch):
     # K does not depend on t, so t = 1 is not on its removable set
     report = derive_curvature(2, "kdelta")

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from artifact import modular_function_engine as mfe
 from artifact import numeric_oracle as oracle
 from artifact.exactnum import RationalFunction
 from artifact.modular_function_engine import (
@@ -99,6 +100,13 @@ def test_both_integrators_reject_a_negative_exponent_as_a_signature(exponents):
         radial_integral(exponents, 2)
 
 
+@pytest.mark.parametrize("s, t", [(math.nan, 1.0), (math.inf, 1.0), (2.0, math.nan),
+                                  (2.0, math.inf)])
+def test_quadrature_rejects_non_finite_arguments(s, t):
+    with pytest.raises(UsageError, match="0 < s < inf and 0 < t < inf"):
+        quad_r_integral((2, 1, 1), s, t)
+
+
 @pytest.mark.parametrize("s", [1e-9, 1e9])
 def test_quadrature_extreme_scale_matches_the_closed_form(s):
     # integral of 1/((r+1)(s r+1)) over [0, inf) is log(1/s)/(1-s)
@@ -171,6 +179,19 @@ def test_matrix_rearrangement_trivial_spectrum():
     assert err < 1e-9
 
 
+def test_matrix_rearrangement_repeated_eigenvalue():
+    # kappa_0 = kappa_1 puts entries with x != i exactly on s = 1 as well
+    err = matrix_rearrangement_check(3, 0, (2, 2, 1), s_shift=True,
+                                     eigenvalues=[0.5, 0.5, 2.0])
+    assert err < 1e-6
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_matrix_rearrangement_rejects_non_finite_eigenvalues(bad):
+    with pytest.raises(ValueError, match="eigenvalues must be dim positive numbers"):
+        matrix_rearrangement_check(2, 0, (2, 1), eigenvalues=[1.0, bad])
+
+
 def test_matrix_rearrangement_monotone_refinement():
     # the loose spec stops two levels in without raising, at an error well
     # above the tight spec's, so the two compare genuinely different levels
@@ -203,6 +224,27 @@ def test_matrix_rearrangement_detects_a_mutated_closed_form(monkeypatch, mutant,
     # (-1)^(P-1) is -1 for P = 4, and swapping s and st changes H_(2,2,1)
     monkeypatch.setattr(oracle, "radial_integral", mutant)
     assert matrix_rearrangement_check(6, 0, exponents, s_shift=s_shift) > 1e-6
+
+
+def _drop_log_series(monkeypatch):
+    monkeypatch.setattr(mfe, "_log_derivative", lambda k: 0)
+
+
+def _one_factorial_short(monkeypatch):
+    # divide by (a - 1)! in place of a!, d^k log x at x = 1 kept as it is
+    log_derivative = {k: mfe._log_derivative(k) for k in range(1, 20)}
+    monkeypatch.setattr(mfe, "_log_derivative", log_derivative.__getitem__)
+    monkeypatch.setattr(mfe, "factorial", lambda n: math.factorial(max(n - 1, 0)))
+
+
+@pytest.mark.parametrize("mutate", [_drop_log_series, _one_factorial_short],
+                         ids=["dropped-log-series", "factorial-one-short"])
+def test_matrix_rearrangement_detects_a_mutated_restriction(monkeypatch, mutate):
+    # 66 of the 96 on-set entries lie exactly on s = 1 (i = x) or t = 1
+    # (x = j), where eval_function takes the exact restriction
+    assert matrix_rearrangement_check(6, 0, (2, 2, 1), s_shift=True) < 1e-6
+    mutate(monkeypatch)
+    assert matrix_rearrangement_check(6, 0, (2, 2, 1), s_shift=True) > 1e-6
 
 
 # ---------------------------------------------------------------------------
