@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import sys
+from math import isfinite
 from typing import Callable, Iterable, List, Optional, Tuple
 
 import click
@@ -58,6 +59,8 @@ def _parse_range(text: str, flag: str) -> List[float]:
         a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise click.UsageError(f"{flag} must be formatted a:b:n with numeric fields")
+    if not (isfinite(a) and isfinite(b)):
+        raise click.UsageError(f"{flag} needs finite endpoints")
     if n < 1 or a <= 0 or b <= 0:
         raise click.UsageError(f"{flag} needs n >= 1 and positive endpoints")
     if n == 1:

@@ -40,9 +40,10 @@ The dimension-2 families integrated here are
 with s the modular variable of the first curvature factor and t that of
 the second.  Everything is exact rational / rational-plus-log arithmetic;
 floats appear only in ``eval_function`` (Horner forms of the exact parts,
-or of their exact restriction to s = 1 or t = 1, over mpmath), and reports
-are printed by ``artifact.printer``; mpmath is imported only on that path,
-at its first call, and sympy only by ``SymbolicFunction.parts``.
+or of their exact restriction to the line s = 1 or t = 1 or to the curve
+st = 1, over mpmath), and reports are printed by ``artifact.printer``;
+mpmath is imported only on that path, at its first call, and sympy only by
+``SymbolicFunction.parts``.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from functools import lru_cache
 from math import comb, factorial, inf, perm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .exactnum import RationalFunction, poly_add
+from .exactnum import RationalFunction, poly_add, univariate_factors
 from .symbol_engine import (
     NCExpression,
     NCMonomial,
@@ -293,30 +294,45 @@ class SymbolicFunction:
             value += fst(sv, tv) * mp.log(sv * tv)
         return value
 
-    def _restriction(self, axis: str) -> "SymbolicFunction":
-        """f on s = 1 (axis "s") or t = 1 (axis "t"), exactly, as a function of
-        the other variable y renamed s.  Over the parts' common denominator
-        (x - 1)^a D, x the axis variable, f = N / ((x - 1)^a D) is finite on the
-        axis, so there f = d^a N / dx^a / (a! D) (L'Hopital), with d^k log x at
-        x = 1 taken in by Leibniz' rule and log(st) = log y."""
-        if axis not in self._restrictions:
-            x = "st".index(axis)
+    def restriction(self, curve: str) -> "SymbolicFunction":
+        """f on the line s = 1 or t = 1 or on the curve st = 1 (curve "s", "t"
+        or "st"), exactly, as a function of one variable y renamed s: y = t
+        on s = 1 and y = s on the other two.  Write v for the variable that
+        is 1 there (s, t or st) and each monomial s^i t^j as y^(ai+bj)
+        v^(ci+dj) (on the curve t = v/s, so s^(i-j) v^j).  Over the parts'
+        common denominator (v - 1)^n D, f = N / ((v - 1)^n D) is finite at
+        v = 1, so there f = d^n N / dv^n / (n! D) (L'Hopital), with d^k log v
+        at v = 1 taken in by Leibniz' rule; log s and log(st) are a log y +
+        c log v and (a+b) log y + (c+d) log v.  D at v = 1 is a Laurent
+        polynomial in y, split into a power of y and irreducible factors."""
+        if curve not in self._restrictions:
+            pole, (a, b), (c, d) = _CURVES[curve]
             # sorted, each factor's highest power comes last and stays
             den = dict(sorted(pair for part in self._parts for pair in part.factors))
             one, log_s, log_st = (part.numerator_over(den) for part in self._parts)
-            a = den.pop((((1 - x, x), 1), ((0, 0), -1)), 0)  # s - 1 or t - 1
-            both = poly_add(log_s, log_st)
-            log_x, log_y = (both, log_st) if x == 0 else (log_st, both)
-            scale = Fraction(1, factorial(a))
-            num = _on_axis(one, x, a, scale)
-            for k in range(1, a + 1):
-                weight = scale * comb(a, k) * _log_derivative(k)
-                num = poly_add(num, _on_axis(log_x, x, a - k, weight))
-            factors = [(_on_axis(dict(fac), x, 0), e) for fac, e in den.items()]
-            self._restrictions[axis] = SymbolicFunction(
-                {"one": RationalFunction(num, factors),
-                 "log_s": RationalFunction(_on_axis(log_y, x, a, scale), factors)})
-        return self._restrictions[axis]
+            n = den.pop(pole, 0)
+            log_y = _mix(((log_s, a), (log_st, a + b)))
+            log_v = _mix(((log_s, c), (log_st, c + d)))
+            sub = (a, b), (c, d)
+            scale = Fraction(1, factorial(n))
+            num = _at_one(one, sub, n, scale)
+            for k in range(1, n + 1):
+                weight = scale * comb(n, k) * _log_derivative(k)
+                num = poly_add(num, _at_one(log_v, sub, n - k, weight))
+            den_at_one = _factored([(_at_one(dict(fac), sub, 0), e) for fac, e in den.items()])
+            self._restrictions[curve] = SymbolicFunction(
+                {"one": _over(num, den_at_one),
+                 "log_s": _over(_at_one(log_y, sub, n, scale), den_at_one)})
+        return self._restrictions[curve]
+
+
+# each component of the removable set: its factor v - 1, and the rows (a, b)
+# and (c, d) that take s^i t^j to y^(ai+bj) v^(ci+dj)
+_CURVES = {
+    "s": ((((1, 0), 1), ((0, 0), -1)), (0, 1), (1, 0)),
+    "t": ((((0, 1), 1), ((0, 0), -1)), (1, 0), (0, 1)),
+    "st": ((((1, 1), 1), ((0, 0), -1)), (1, -1), (0, 1)),
+}
 
 
 def _log_derivative(k: int) -> int:
@@ -324,33 +340,81 @@ def _log_derivative(k: int) -> int:
     return (-1) ** (k - 1) * factorial(k - 1)
 
 
-def _on_axis(poly, x: int, n: int, weight=1):
-    """weight * d^n poly / dv^n at v = 1, v = (s, t)[x], in the other variable renamed s."""
+def _mix(terms):
+    """sum w * poly over the (poly, w) of terms."""
     out: Dict = {}
-    for mono, c in poly.items():
-        key = (mono[1 - x], 0)
-        out[key] = out.get(key, 0) + c * weight * perm(mono[x], n)
-    return {m: c for m, c in out.items() if c}
+    for poly, w in terms:
+        if w:
+            out = poly_add(out, {m: w * c for m, c in poly.items()})
+    return out
+
+
+def _at_one(poly, sub, n: int, weight=1):
+    """weight * d^n poly / dv^n at v = 1 as a Laurent polynomial in y, keyed
+    (power of y, 0), with s^i t^j = y^(ai+bj) v^(ci+dj) for sub = ((a, b), (c, d))."""
+    (a, b), (c, d) = sub
+    out: Dict = {}
+    for (i, j), coeff in poly.items():
+        key = (a * i + b * j, 0)
+        out[key] = out.get(key, 0) + coeff * weight * perm(c * i + d * j, n)
+    return {m: v for m, v in out.items() if v}
+
+
+def _lowest_power_out(poly):
+    """(k, p) with poly = s^k p, p a polynomial in s with p(0) != 0, for a
+    nonzero Laurent polynomial poly in s."""
+    low = min(poly)[0]
+    return low, {(i - low, 0): v for (i, _), v in poly.items()}
+
+
+def _factored(factors):
+    """(k, parts) with prod f^e = s^k prod g^m over the (g, m) of parts, for
+    Laurent polynomials f in s: each f split into a power of s, a constant
+    and irreducible factors, the form RationalFunction asks of its factors."""
+    power, parts = 0, []
+    for f, e in factors:
+        low, poly = _lowest_power_out(f)
+        c, irreducible = univariate_factors(poly)
+        power += low * e
+        parts += [({(0, 0): c}, e)] + [(dict(g), e * m) for g, m in irreducible]
+    return power, parts
+
+
+def _over(num, den) -> RationalFunction:
+    """num / den for a Laurent polynomial num in s and den from _factored."""
+    if not num:
+        return RationalFunction()
+    low, poly = _lowest_power_out(num)
+    power, parts = den
+    return RationalFunction(poly, parts) * RationalFunction.monomial(low - power, 0)
 
 
 def eval_function(f: SymbolicFunction, s: float, t: float = 1.0) -> float:
-    """Numeric value of f at (s, t) by one of three routes.  1e-4 or more off the
+    """Numeric value of f at (s, t) by one of four routes.  1e-4 or more off the
     removable set {s=1, t=1, st=1} (s = 1 alone if t occurs in no part of f):
     the parts' Horner forms at 60 digits.  Exactly on s = 1 or t = 1: f's exact
-    restriction to that line at the other variable, so (1, 1) is exact.  Over
-    the five reports a restriction has a pole of order at most 4 at x = 1 (dim-2
-    G), which cancels 16 of the 60 digits at a gap of 1e-4 and leaves 44.  Else
-    near the set, and on st = 1: a 4-point polynomial limit along the ray
-    (s(1+e), t(1+e)) at 90 digits.  mpmath is imported at the first evaluation
-    that needs it, so a derivation never loads it."""
+    restriction to that line at the other variable, so (1, 1) is exact.
+    Exactly on st = 1, where two floats are reciprocal powers of two: f's exact
+    restriction to the curve at s.  A restriction is a function of one variable,
+    evaluated by these routes in turn.  Over the five reports and the radial
+    families with p + q + l <= 5 a restriction has a pole of order at most 4 at
+    1 (dim-2 G, and the dim-2 families of total 5 on st = 1), which cancels 16
+    of the 60 digits at a gap of 1e-4 and leaves 44.  Else near the set: a
+    4-point polynomial limit along the ray (s(1+e), t(1+e)) at 90 digits.
+    mpmath is imported at the first evaluation that needs it, so a derivation
+    never loads it."""
     if not (0 < s < inf and 0 < t < inf):
         raise UsageError("eval_function requires 0 < s < inf and 0 < t < inf")
     if not (f._parts[1] or f._parts[2]) and f._parts[0].constant() is not None:
         return float(f._parts[0].constant())
     if s == 1.0:
-        return eval_function(f._restriction("s"), t)
-    if t == 1.0 and f.uses_t():
-        return eval_function(f._restriction("t"), s)
+        return eval_function(f.restriction("s"), t)
+    if f.uses_t():
+        if t == 1.0:
+            return eval_function(f.restriction("t"), s)
+        # the float product screens; the exact one confirms
+        if s * t == 1.0 and Fraction(s) * Fraction(t) == 1:
+            return eval_function(f.restriction("st"), s)
     import mpmath as mp
 
     with mp.workdps(60):

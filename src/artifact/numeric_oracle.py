@@ -231,7 +231,11 @@ def matrix_rearrangement_check(dim: int, seed: int, exponents: Sequence[int],
 
     rho1 = rng.uniform(0.5, 1.5, size=(dim, dim))
     rho2 = rng.uniform(0.5, 1.5, size=(dim, dim))
-    closed_vals = np.array([[[eval_function(closed, kx / ki, kj / kx) for kj in kappa]
+    # with kappa_j = kappa_i the point (kappa_x/kappa_i, kappa_i/kappa_x) lies
+    # on st = 1, which the two rounded quotients miss: take f on the curve
+    on_curve = closed.restriction("st")
+    closed_vals = np.array([[[eval_function(on_curve, kx / ki) if kj == ki
+                              else eval_function(closed, kx / ki, kj / kx) for kj in kappa]
                              for kx in kappa] for ki in kappa])
     ki, kx = kappa[:, None, None], kappa[None, :, None]
     f = ki ** (2 - total) * closed_vals

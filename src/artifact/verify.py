@@ -240,9 +240,13 @@ SUITES: Tuple[str, ...] = tuple(dict.fromkeys(check.suite for check in CHECKS))
 def run(suite: str, seed: int, tol: Optional[float]) -> Iterator[Tuple[str, float, float]]:
     """(name, error, bound) of every check of the suite as it completes, in
     table order; tol, when given, replaces every bound the table marks so,
-    and must be finite and >= 0 (a UsageError otherwise)."""
+    and must be finite and >= 0, and seed must be >= 0 (a UsageError
+    otherwise)."""
     if tol is not None:
         _check_tol(tol)
+    # numpy's generators take no negative seed
+    if seed < 0:
+        raise UsageError(f"--seed must be an integer >= 0, not {seed}")
     rows = [check for check in CHECKS if check.suite == suite]
     return ((check.name, err, tol if tol is not None and check.tol_replaces else check.bound)
             for check, err in zip(rows, _ERRORS[suite](seed), strict=True))

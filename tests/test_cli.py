@@ -208,6 +208,17 @@ def test_table_rejects_a_non_finite_point(runner):
     assert "nan" not in result.stdout
 
 
+@pytest.mark.parametrize("endpoints", ["nan:2:3", "1:inf:3", "-inf:2:3"])
+@pytest.mark.parametrize("flag", ["--s-range", "--t-range"])
+def test_table_names_the_flag_of_a_non_finite_endpoint(runner, flag, endpoints):
+    ranges = {"--s-range": "1:2:3", "--t-range": "1:2:3", flag: endpoints}
+    result = runner.invoke(cli.main, ["table", "--which", "G"]
+                           + [a for pair in ranges.items() for a in pair])
+    assert result.exit_code == 2
+    assert f"{flag} needs finite endpoints" in result.output
+    assert "eval_function" not in result.output
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -313,6 +324,16 @@ def test_tol_outside_finite_nonnegative_is_a_usage_error(runner, command, tol):
     result = runner.invoke(cli.main, command + ["--tol", tol])
     assert result.exit_code == 2
     assert f"--tol must be a finite number >= 0, not {float(tol)!r}" in result.output
+    assert "CHECK" not in result.output
+
+
+@pytest.mark.parametrize("command", [["verify"], ["verify", "--suite", "matrix"],
+                                     ["verify", "--suite", "symbols"]],
+                         ids=["verify", "verify-matrix", "verify-symbols"])
+def test_negative_seed_is_a_usage_error(runner, command):
+    result = runner.invoke(cli.main, command + ["--seed", "-1"])
+    assert result.exit_code == 2
+    assert "--seed must be an integer >= 0, not -1" in result.output
     assert "CHECK" not in result.output
 
 

@@ -7,7 +7,9 @@ off the removable set {s = 1, t = 1, st = 1}, and extrapolated to the set by
 the same 4-point Neville limit at 90 digits within 1e-4 of it.  The engine
 compiles its Horner forms without sympy and must give the same floats, bit
 for bit, for K and G of every shipped report, exactly on s = 1 and t = 1
-too, where it evaluates an exact restriction instead of the limit.
+too, where it evaluates an exact restriction instead of the limit, and on
+st = 1 at reciprocal powers of two, where it evaluates the restriction to
+the curve; the radial H families are checked on the curve too.
 
 For the built functions the points exactly on s = 1 or t = 1 are checked
 against ``exact_on_set``, sympy's limit onto that line at the other
@@ -24,7 +26,8 @@ import mpmath as mp
 import pytest
 import sympy as sp
 
-from artifact.modular_function_engine import SymbolicFunction, derive_curvature, eval_function
+from artifact.modular_function_engine import (SymbolicFunction, derive_curvature, eval_function,
+                                               radial_integral)
 from sympy_forms import combined, from_sympy
 
 S, T = sp.symbols("s t", positive=True)
@@ -122,6 +125,21 @@ def test_printed_parts_read_back_to_the_same_function(dim, operator, which):
     f = getattr(derive_curvature(dim, operator), which)
     g = from_sympy(f.parts)
     assert g == f and hash(g) == hash(f)
+
+
+# the H families of total <= 5; the reports use (3, 1, 1), (2, 1, 1) and (2, 2, 1)
+H_FAMILIES = [(p, q, l) for p in range(1, 4) for q in range(1, 4) for l in range(1, 4)
+              if p + q + l <= 5]
+ON_CURVE = [(2.0**j, 2.0**-j) for j in range(-6, 7) if j]
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+@pytest.mark.parametrize("exponents", H_FAMILIES, ids=lambda e: "H" + "".join(map(str, e)))
+def test_eval_of_radial_families_on_the_curve_matches_bit_for_bit(exponents, m):
+    # exactly on st = 1 the engine evaluates its restriction to the curve
+    f = radial_integral(exponents, m)
+    for s, t in ON_CURVE:
+        assert eval_function(f, s, t).hex() == reference_eval(f, s, t).hex(), (s, t)
 
 
 # parts the reports do not have: a constant, a polynomial, a denominator

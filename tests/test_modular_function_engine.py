@@ -11,6 +11,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from artifact.exactnum import RationalFunction, univariate_factors
 from artifact.symbol_engine import parse_expression
 from artifact.modular_function_engine import (
     DivergentIntegralError,
@@ -359,13 +360,48 @@ def test_eval_is_continuous_across_the_lines_s_1_and_t_1(dim, operator, which):
 
 
 @pytest.mark.parametrize("dim, operator", REPORTS)
+def test_eval_is_continuous_across_the_curve_st_1(dim, operator):
+    # exactly on st = 1 the curve restriction is evaluated, one ulp of t off
+    # it the Neville limit
+    f = derive_curvature(dim, operator).G
+    for j in (-5, -2, -1, 1, 3, 6):
+        s, t = 2.0**j, 2.0**-j
+        on = eval_function(f, s, t)
+        for off in (math.nextafter(t, 0.0), math.nextafter(t, math.inf)):
+            assert math.isclose(eval_function(f, s, off), on, rel_tol=1e-13), (s, off)
+
+
+def test_curve_restriction_splits_a_factor_that_becomes_reducible():
+    # at t = 1/s, 4s^2 + 4st^2 + 2s + 2t^2 is 2(2s+1)(s+1)(s^2-s+1)/s^2
+    f = from_sympy({"one": 1 / (4 * S**2 + 4 * S * T**2 + 2 * S + 2 * T**2),
+                    "log_st": (S + T) / (S * T - 1)})
+    on_curve = f.restriction("st")
+    want = S**2 / (2 * (2 * S + 1) * (S + 1) * (S**2 - S + 1)) + (S**2 + 1) / S
+    assert on_curve == from_sympy({"one": want})
+    assert len(on_curve.fraction_terms()["log_s"][0]) == 0
+
+
+@pytest.mark.parametrize("poly", [
+    S**4 + 4, (2 * S + 1) * (S**3 + 1), 3 * (S - 1) ** 3 * (S**2 + 2),
+    (S**2 + S + 1) ** 2 * (S**2 - 3), S**6 - 1, sp.Rational(1, 6) * S + sp.Rational(5, 4),
+    (S**2 - 2) * (S**2 - 3) * (2 * S**2 + 3 * S - 5),
+])
+def test_univariate_factors_agree_with_sympy(poly):
+    coeffs = sp.Poly(poly, S).as_dict()
+    c, factors = univariate_factors({(i, 0): Fraction(int(v.p), int(v.q))
+                                     for (i,), v in coeffs.items()})
+    assert RationalFunction({(0, 0): 1}, [({(0, 0): c}, 1)] + [(dict(f), e) for f, e in factors]
+                            ) == from_sympy_part(1 / poly)
+
+
+@pytest.mark.parametrize("dim, operator", REPORTS)
 @pytest.mark.parametrize("which", ["K", "G"])
 def test_eval_at_the_corner_is_the_double_restriction(dim, operator, which):
     f = getattr(derive_curvature(dim, operator), which)
-    corner = f._restriction("s")._restriction("s").constant_value()
+    corner = f.restriction("s").restriction("s").constant_value()
     assert eval_function(f, 1.0, 1.0) == float(corner)
     if f.uses_t():
-        assert f._restriction("t")._restriction("s").constant_value() == corner
+        assert f.restriction("t").restriction("s").constant_value() == corner
     if dim == 2:
         assert corner == (Fraction(1, 12) if which == "K" else Fraction(-1, 12))
 

@@ -10,6 +10,7 @@ import math
 import re
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -237,14 +238,62 @@ def _one_factorial_short(monkeypatch):
     monkeypatch.setattr(mfe, "factorial", lambda n: math.factorial(max(n - 1, 0)))
 
 
+def _mutate_on(monkeypatch, mutate, curves):
+    """mutate applied while the restrictions to the given curves are built,
+    and to them alone."""
+    restriction = SymbolicFunction.restriction
+
+    def mutated(self, curve):
+        if curve not in curves:
+            return restriction(self, curve)
+        with monkeypatch.context() as patch:
+            mutate(patch)
+            return restriction(self, curve)
+
+    monkeypatch.setattr(SymbolicFunction, "restriction", mutated)
+
+
 @pytest.mark.parametrize("mutate", [_drop_log_series, _one_factorial_short],
                          ids=["dropped-log-series", "factorial-one-short"])
 def test_matrix_rearrangement_detects_a_mutated_restriction(monkeypatch, mutate):
     # 66 of the 96 on-set entries lie exactly on s = 1 (i = x) or t = 1
-    # (x = j), where eval_function takes the exact restriction
+    # (x = j), where eval_function takes the exact restriction to that line
     assert matrix_rearrangement_check(6, 0, (2, 2, 1), s_shift=True) < 1e-6
-    mutate(monkeypatch)
+    _mutate_on(monkeypatch, mutate, ("s", "t"))
     assert matrix_rearrangement_check(6, 0, (2, 2, 1), s_shift=True) > 1e-6
+
+
+@pytest.mark.parametrize("mutate", [_drop_log_series, _one_factorial_short],
+                         ids=["dropped-log-series", "factorial-one-short"])
+def test_matrix_rearrangement_detects_a_mutated_curve_restriction(monkeypatch, mutate):
+    # the other 30 (i = j != x) lie on st = 1, where the check takes the
+    # exact restriction to the curve
+    _mutate_on(monkeypatch, mutate, ("st",))
+    assert matrix_rearrangement_check(6, 0, (2, 2, 1), s_shift=True) > 1e-6
+
+
+def test_matrix_rearrangement_takes_the_curve_route_on_st_1(monkeypatch):
+    calls, limits = [], []
+    eval_mp = SymbolicFunction._eval_mp
+
+    def recording(f, *point):
+        calls.append((f, point))
+        return eval_function(f, *point)
+
+    def counting(self, sv, tv):
+        if mp.mp.dps > 60:
+            limits.append((sv, tv))
+        return eval_mp(self, sv, tv)
+
+    monkeypatch.setattr(oracle, "eval_function", recording)
+    monkeypatch.setattr(SymbolicFunction, "_eval_mp", counting)
+    assert matrix_rearrangement_check(6, 0, (2, 2, 1), s_shift=True) < 1e-6
+    # the 36 entries with i = j evaluate the restriction to st = 1, the 30
+    # of them with i != x off its point s = 1; none takes the 90-digit limit
+    on_curve = [point for f, point in calls if not f.uses_t()]
+    assert len(calls) == 216 and len(on_curve) == 36
+    assert sum(point != (1.0,) for point in on_curve) == 30
+    assert limits == []
 
 
 # ---------------------------------------------------------------------------
