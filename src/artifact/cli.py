@@ -71,8 +71,11 @@ def _parse_range(text: str, flag: str) -> List[float]:
 def _emit(payload: str, out: Optional[str]) -> None:
     """Write payload to the file out, or to stdout without it."""
     if out:
-        with open(out, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(out, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise click.UsageError(f"--out {out}: {exc.strerror or exc}")
     else:
         click.echo(payload, nl=False)
 

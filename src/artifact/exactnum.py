@@ -5,19 +5,16 @@ Small and hashable on purpose.  Gaussian rationals are the coefficients of
 every exact object in the package (Fourier coefficients, symbol-term
 coefficients), and they get multiplied in tight convolution loops where
 sympy numbers are an order of magnitude too slow.  The curvature functions
-are rational functions whose denominators are known in advance (a monomial
-times powers of s - 1, t - 1 and st - 1), so ``RationalFunction`` keeps them
-factored and reduces by trial division, without a gcd and without sympy.
-On s = 1, t = 1 or st = 1 a factor can split (4s^2 + 4st^2 + 2s + 2t^2 is
-2(2s+1)(s+1)(s^2-s+1)/s^2 at t = 1/s), so ``univariate_factors`` factors a
-polynomial in s alone, by Kronecker's method.
+are rational functions whose denominators are known in advance (products of
+s, t, s - 1, t - 1 and st - 1), so ``RationalFunction`` keeps them factored
+and reduces by trial division, without a gcd and without sympy.  It takes
+any irreducible factors; ``SymbolicFunction`` admits only those five.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 _RatLike = Union[int, Fraction]
@@ -211,70 +208,6 @@ def _canonical_factor(poly: Mapping[Monomial, _RatLike]) -> Tuple[Fraction, Fact
         content = -content
     return Fraction(content, scale), tuple(sorted(((m, v // content) for m, v in ints.items()),
                                                   reverse=True))
-
-
-def _divisors(n: int) -> List[int]:
-    """The positive and negative divisors of the integer n != 0."""
-    n = abs(n)
-    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    pos = low + [n // d for d in reversed(low) if d * d != n]
-    return pos + [-d for d in pos]
-
-
-def _interpolate(xs: Sequence[int], ys: Sequence[int]) -> Poly:
-    """The polynomial in s of degree < len(xs) through the points (x, y)."""
-    coeffs = [Fraction(0)] * len(xs)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        basis, scale = [Fraction(1)], Fraction(yi)  # prod over j != i of (s - xj)
-        for j, xj in enumerate(xs):
-            if j != i:
-                basis = [a - xj * b for a, b in zip([0] + basis, basis + [0])]
-                scale /= xi - xj
-        for k, b in enumerate(basis):
-            coeffs[k] += scale * b
-    return {(k, 0): c for k, c in enumerate(coeffs) if c}
-
-
-def _lowest_factor(poly: Poly) -> Factor:
-    """An irreducible factor of poly, a primitive polynomial in s of degree
-    >= 1, by Kronecker's method: a factor g of degree k divides poly in Z[s],
-    so g's values at k + 1 integer points divide poly's there, and
-    interpolating each choice of divisors finds g.  The search grows with
-    the number of divisors, which is small at the low degrees restrictions
-    of the curvature functions reach."""
-    degree = max(poly)[0]
-    points = []
-    # at most degree of the 4 degree + 1 points are roots
-    for x in sorted(range(-2 * degree, 2 * degree + 1), key=abs):
-        value = sum(c * x**i for (i, _), c in poly.items())
-        if value:
-            points.append((x, int(value)))
-    for k in range(1, degree // 2 + 1):
-        xs, values = zip(*points[:k + 1])
-        for ys in product([d for d in _divisors(values[0]) if d > 0],
-                          *map(_divisors, values[1:])):
-            g = _interpolate(xs, ys)
-            if g and max(g)[0] == k and all(c.denominator == 1 for c in g.values()):
-                factor = _canonical_factor(g)[1]
-                if _divide(poly, factor) is not None:
-                    return factor
-    return _canonical_factor(poly)[1]
-
-
-def univariate_factors(poly: Mapping[Monomial, _RatLike]
-                       ) -> Tuple[Fraction, List[Tuple[Factor, int]]]:
-    """(c, [(f_k, e_k)]) with poly = c * prod f_k^e_k, for a nonzero
-    polynomial in s alone, each f_k a canonical irreducible factor: the form
-    ``RationalFunction`` asks of the factors of its denominator."""
-    c, rest = _canonical_factor(poly)
-    out: Dict[Factor, int] = {}
-    rem: Poly = dict(rest)
-    while max(rem)[0] > 0:
-        factor = _lowest_factor(rem)
-        while (quotient := _divide(rem, factor)) is not None:
-            rem = quotient
-            out[factor] = out.get(factor, 0) + 1
-    return c * rem[(0, 0)], list(out.items())
 
 
 class RationalFunction:

@@ -52,10 +52,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, inf, perm
+from math import comb, factorial, inf, isinf, perm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .exactnum import RationalFunction, poly_add, univariate_factors
+from .exactnum import Factor, RationalFunction, poly_add
 from .symbol_engine import (
     NCExpression,
     NCMonomial,
@@ -102,6 +102,13 @@ _BASIS = ("one", "log_s", "log_st")
 PolyTerms = Tuple[Tuple[Tuple[int, int], Fraction], ...]
 
 OPERATORS = ("kdelta", "nc4tori")
+
+# the denominator factors of the curvature functions, s, t and the node gaps
+# s - 1, t - 1 and st - 1, in RationalFunction's canonical form
+_S: Factor = (((1, 0), 1),)
+_T: Factor = (((0, 1), 1),)
+_S_1, _T_1, _ST_1 = ((((i, j), 1), ((0, 0), -1)) for i, j in ((1, 0), (0, 1), (1, 1)))
+_RING = frozenset((_S, _T, _S_1, _T_1, _ST_1))
 
 
 @lru_cache(maxsize=None)
@@ -174,18 +181,19 @@ def _compile(part: RationalFunction):
 class SymbolicFunction:
     """Exact function of (s, t) on the basis {1, log s, log(st)}.
 
-    Each basis tag carries a part in QQ(s, t), an ``exactnum.RationalFunction``:
-    a rational numerator over a denominator kept factored into canonical
-    irreducible polynomials (for the derived functions a monomial times
-    powers of s - 1, t - 1 and st - 1), in lowest terms.  The represented
-    function is
+    Each basis tag carries a part in the ring the divided differences of the
+    radial integrals live in, Q[s^+-1, t^+-1, (s-1)^-1, (t-1)^-1, (st-1)^-1]:
+    an ``exactnum.RationalFunction`` whose denominator is a product of
+    powers of s, t, s - 1, t - 1 and st - 1, in lowest terms.  The
+    represented function is
 
         parts["one"] + parts["log_s"]*log(s) + parts["log_st"]*log(s*t).
 
     Parts are given as RationalFunction, int or Fraction; anything else is
-    a TypeError.  Equality is equality of the parts.  ``render``,
-    ``parts_strings`` and ``repr`` print the parts, and ``fraction_terms``
-    reads each part's exact numerator and denominator.
+    a TypeError, and a denominator factor outside the five a ValueError.
+    Equality is equality of the parts.  ``render``, ``parts_strings`` and
+    ``repr`` print the parts, and ``fraction_terms`` reads each part's
+    exact numerator and denominator.
     """
 
     __slots__ = ("_parts", "_uses_t", "_fns", "_restrictions")
@@ -193,6 +201,9 @@ class SymbolicFunction:
     def __init__(self, parts: Optional[Mapping[str, object]] = None):
         src = parts or {}
         self._parts = tuple(_as_rational_function(src.get(tag, 0)) for tag in _BASIS)
+        if any(f not in _RING for part in self._parts for f, _ in part.factors):
+            raise ValueError("a part's denominator takes only the factors s, t, s - 1, t - 1 "
+                             "and st - 1")
         # set once, since eval_function asks on every call
         self._uses_t = any(v.uses_t() for v in self._parts)
         self._fns = None
@@ -303,8 +314,9 @@ class SymbolicFunction:
         common denominator (v - 1)^n D, f = N / ((v - 1)^n D) is finite at
         v = 1, so there f = d^n N / dv^n / (n! D) (L'Hopital), with d^k log v
         at v = 1 taken in by Leibniz' rule; log s and log(st) are a log y +
-        c log v and (a+b) log y + (c+d) log v.  D at v = 1 is a Laurent
-        polynomial in y, split into a power of y and irreducible factors."""
+        c log v and (a+b) log y + (c+d) log v.  At v = 1 each factor of D is a
+        power of y times a constant or y - 1, so the restriction stays in the
+        ring."""
         if curve not in self._restrictions:
             pole, (a, b), (c, d) = _CURVES[curve]
             # sorted, each factor's highest power comes last and stays
@@ -319,7 +331,7 @@ class SymbolicFunction:
             for k in range(1, n + 1):
                 weight = scale * comb(n, k) * _log_derivative(k)
                 num = poly_add(num, _at_one(log_v, sub, n - k, weight))
-            den_at_one = _factored([(_at_one(dict(fac), sub, 0), e) for fac, e in den.items()])
+            den_at_one = [(_at_one(dict(fac), sub, 0), e) for fac, e in den.items()]
             self._restrictions[curve] = SymbolicFunction(
                 {"one": _over(num, den_at_one),
                  "log_s": _over(_at_one(log_y, sub, n, scale), den_at_one)})
@@ -328,11 +340,8 @@ class SymbolicFunction:
 
 # each component of the removable set: its factor v - 1, and the rows (a, b)
 # and (c, d) that take s^i t^j to y^(ai+bj) v^(ci+dj)
-_CURVES = {
-    "s": ((((1, 0), 1), ((0, 0), -1)), (0, 1), (1, 0)),
-    "t": ((((0, 1), 1), ((0, 0), -1)), (1, 0), (0, 1)),
-    "st": ((((1, 1), 1), ((0, 0), -1)), (1, -1), (0, 1)),
-}
+_CURVES = {"s": (_S_1, (0, 1), (1, 0)), "t": (_T_1, (1, 0), (0, 1)),
+           "st": (_ST_1, (1, -1), (0, 1))}
 
 
 def _log_derivative(k: int) -> int:
@@ -367,26 +376,19 @@ def _lowest_power_out(poly):
     return low, {(i - low, 0): v for (i, _), v in poly.items()}
 
 
-def _factored(factors):
-    """(k, parts) with prod f^e = s^k prod g^m over the (g, m) of parts, for
-    Laurent polynomials f in s: each f split into a power of s, a constant
-    and irreducible factors, the form RationalFunction asks of its factors."""
-    power, parts = 0, []
-    for f, e in factors:
-        low, poly = _lowest_power_out(f)
-        c, irreducible = univariate_factors(poly)
-        power += low * e
-        parts += [({(0, 0): c}, e)] + [(dict(g), e * m) for g, m in irreducible]
-    return power, parts
-
-
 def _over(num, den) -> RationalFunction:
-    """num / den for a Laurent polynomial num in s and den from _factored."""
+    """num / prod f^e over the (f, e) of den, for Laurent polynomials in s,
+    each f the restriction of a ring factor: a power of s times a constant
+    or a linear polynomial, which RationalFunction canonicalises."""
     if not num:
         return RationalFunction()
     low, poly = _lowest_power_out(num)
-    power, parts = den
-    return RationalFunction(poly, parts) * RationalFunction.monomial(low - power, 0)
+    factors = []
+    for f, e in den:
+        power, g = _lowest_power_out(f)
+        low -= power * e
+        factors.append((g, e))
+    return RationalFunction(poly, factors) * RationalFunction.monomial(low, 0)
 
 
 def eval_function(f: SymbolicFunction, s: float, t: float = 1.0) -> float:
@@ -402,19 +404,28 @@ def eval_function(f: SymbolicFunction, s: float, t: float = 1.0) -> float:
     of the 60 digits at a gap of 1e-4 and leaves 44.  Else near the set: a
     4-point polynomial limit along the ray (s(1+e), t(1+e)) at 90 digits.
     mpmath is imported at the first evaluation that needs it, so a derivation
-    never loads it."""
+    never loads it.  A value past the float64 range is a UsageError."""
     if not (0 < s < inf and 0 < t < inf):
         raise UsageError("eval_function requires 0 < s < inf and 0 < t < inf")
+    value = _evaluate(f, s, t)
+    if isinf(value):
+        raise UsageError(f"the value at s = {s!r}, t = {t!r} lies outside the float64 "
+                         "range: its magnitude exceeds about 1.8e308")
+    return value
+
+
+def _evaluate(f: SymbolicFunction, s: float, t: float) -> float:
+    """eval_function's four routes at a point with 0 < s, t < inf."""
     if not (f._parts[1] or f._parts[2]) and f._parts[0].constant() is not None:
         return float(f._parts[0].constant())
     if s == 1.0:
-        return eval_function(f.restriction("s"), t)
+        return _evaluate(f.restriction("s"), t, 1.0)
     if f.uses_t():
         if t == 1.0:
-            return eval_function(f.restriction("t"), s)
+            return _evaluate(f.restriction("t"), s, 1.0)
         # the float product screens; the exact one confirms
         if s * t == 1.0 and Fraction(s) * Fraction(t) == 1:
-            return eval_function(f.restriction("st"), s)
+            return _evaluate(f.restriction("st"), s, 1.0)
     import mpmath as mp
 
     with mp.workdps(60):
@@ -587,11 +598,8 @@ def extract_signature(term: NCMonomial) -> TermSignature:
 # the modular nodes 1, s, st as the exponents (a, b) of s^a t^b
 _NODES = ((0, 0), (1, 0), (1, 1))
 # 1 / (x_j - x_i) for the node pairs (i, j): s - 1, st - 1, st - s = s(t - 1)
-_INVERSE_GAPS = {
-    (0, 1): RationalFunction({(0, 0): 1}, [({(1, 0): 1, (0, 0): -1}, 1)]),
-    (0, 2): RationalFunction({(0, 0): 1}, [({(1, 1): 1, (0, 0): -1}, 1)]),
-    (1, 2): RationalFunction({(0, 0): 1}, [({(1, 0): 1}, 1), ({(0, 1): 1, (0, 0): -1}, 1)]),
-}
+_INVERSE_GAPS = {pair: RationalFunction({(0, 0): 1}, [(dict(f), 1) for f in gaps])
+                 for pair, gaps in (((0, 1), (_S_1,)), ((0, 2), (_ST_1,)), ((1, 2), (_S, _T_1)))}
 
 
 def _taylor(node: int, n: int, m: int) -> Tuple[RationalFunction, ...]:

@@ -87,6 +87,18 @@ def test_derive_writes_output_file(runner, tmp_path):
     assert json.loads(out.read_text())["operator"] == "kdelta"
 
 
+@pytest.mark.parametrize("args", [
+    ["derive", "--format", "json"],
+    ["table", "--which", "K", "--s-range", "1:2:3"],
+], ids=["derive", "table"])
+def test_out_in_a_missing_directory_is_a_usage_error(runner, tmp_path, args):
+    out = tmp_path / "missing" / "x.out"
+    result = runner.invoke(cli.main, args + ["--out", str(out)])
+    assert result.exit_code == 2
+    assert f"--out {out}: No such file or directory" in result.output
+    assert "internal error" not in result.output
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -132,6 +144,30 @@ def test_eval_rejects_non_finite_argument(runner, args, value):
     result = runner.invoke(cli.main, ["eval"] + [a.format(value) for a in args])
     assert result.exit_code == 2
     assert "0 < s < inf and 0 < t < inf" in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["eval", "--dim", "6", "--which", "K", "--s", "1e-310"],
+    ["table", "--dim", "6", "--which", "K", "--s-range", "1e-310:1e-100:2"],
+], ids=["eval", "table"])
+def test_value_outside_the_float64_range_is_a_usage_error(runner, args):
+    # dim-6 K is about -1/(6 s^2): -1.7e619 at s = 1e-310
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 2
+    assert "s = 1e-310, t = 1.0 lies outside the float64 range" in result.output
+    assert "inf" not in result.output
+
+
+def test_finite_extreme_value_is_printed(runner):
+    want = -1 / (6 * 1e-100**2)
+    result = runner.invoke(cli.main, ["eval", "--dim", "6", "--which", "K", "--s", "1e-100"])
+    assert result.exit_code == 0
+    assert math.isclose(float(result.output), want, rel_tol=1e-11)
+    result = runner.invoke(cli.main, ["table", "--dim", "6", "--which", "K",
+                                      "--s-range", "1e-100:1e-100:1"])
+    assert result.exit_code == 0
+    assert math.isclose(float(list(csv.reader(io.StringIO(result.output)))[1][2]), want,
+                        rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("args", [

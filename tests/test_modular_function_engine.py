@@ -3,7 +3,9 @@ report serialization, and numeric evaluation."""
 
 import json
 import math
+import re
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from artifact.exactnum import RationalFunction, univariate_factors
+from artifact.exactnum import RationalFunction
 from artifact.symbol_engine import parse_expression
 from artifact.modular_function_engine import (
     DivergentIntegralError,
@@ -371,27 +373,36 @@ def test_eval_is_continuous_across_the_curve_st_1(dim, operator):
             assert math.isclose(eval_function(f, s, off), on, rel_tol=1e-13), (s, off)
 
 
-def test_curve_restriction_splits_a_factor_that_becomes_reducible():
-    # at t = 1/s, 4s^2 + 4st^2 + 2s + 2t^2 is 2(2s+1)(s+1)(s^2-s+1)/s^2
-    f = from_sympy({"one": 1 / (4 * S**2 + 4 * S * T**2 + 2 * S + 2 * T**2),
-                    "log_st": (S + T) / (S * T - 1)})
-    on_curve = f.restriction("st")
-    want = S**2 / (2 * (2 * S + 1) * (S + 1) * (S**2 - S + 1)) + (S**2 + 1) / S
-    assert on_curve == from_sympy({"one": want})
-    assert len(on_curve.fraction_terms()["log_s"][0]) == 0
+RING_ERROR = re.escape("a part's denominator takes only the factors s, t, s - 1, t - 1 and st - 1")
 
 
-@pytest.mark.parametrize("poly", [
-    S**4 + 4, (2 * S + 1) * (S**3 + 1), 3 * (S - 1) ** 3 * (S**2 + 2),
-    (S**2 + S + 1) ** 2 * (S**2 - 3), S**6 - 1, sp.Rational(1, 6) * S + sp.Rational(5, 4),
-    (S**2 - 2) * (S**2 - 3) * (2 * S**2 + 3 * S - 5),
-])
-def test_univariate_factors_agree_with_sympy(poly):
-    coeffs = sp.Poly(poly, S).as_dict()
-    c, factors = univariate_factors({(i, 0): Fraction(int(v.p), int(v.q))
-                                     for (i,), v in coeffs.items()})
-    assert RationalFunction({(0, 0): 1}, [({(0, 0): c}, 1)] + [(dict(f), e) for f, e in factors]
-                            ) == from_sympy_part(1 / poly)
+@pytest.mark.parametrize("build", [
+    lambda: from_sympy({"one": 1 / (4 * S**2 + 4 * S * T**2 + 2 * S + 2 * T**2),
+                        "log_st": (S + T) / (S * T - 1)}),
+    lambda: radial_integral((1, 1), 2).scaled(
+        from_sympy_part(1 / (4 * S**2 + 4 * S * T**2 + 2 * S + 2 * T**2))),
+], ids=["part", "factor"])
+def test_a_denominator_factor_outside_the_ring_is_a_value_error(build):
+    # on st = 1 this factor splits, as 2(2s+1)(s+1)(s^2-s+1)/s^2; the divided
+    # differences never divide by anything but s, t and the node gaps
+    with pytest.raises(ValueError, match=RING_ERROR):
+        build()
+
+
+def test_every_engine_function_and_restriction_lies_in_the_ring():
+    # SymbolicFunction rejects any other denominator factor, so building
+    # these is the check; every restriction is t-free and exact at (1, 1)
+    functions = [getattr(derive_curvature(m, "kdelta"), which)
+                 for m in range(2, 13, 2) for which in "KG"]
+    nc4tori = derive_curvature(4, "nc4tori")
+    functions += [nc4tori.K, nc4tori.G]
+    functions += [radial_integral(e, m) for m in range(2, 9, 2) for k in (1, 2, 3)
+                  for e in product(range(7), repeat=k) if 2 <= sum(e) <= 6]
+    for f in functions:
+        for curve in ("s", "t", "st"):
+            restricted = f.restriction(curve)
+            assert not restricted.uses_t()
+            restricted.restriction("s").constant_value()
 
 
 @pytest.mark.parametrize("dim, operator", REPORTS)
@@ -438,6 +449,15 @@ def test_eval_rejects_non_finite_arguments(s, t):
         eval_function(report.G, s, t)
 
 
+def test_eval_outside_the_float64_range_is_a_usage_error():
+    # dim-6 K is -1/(6 s^2) + O(1/s) at small s: about -1.7e619 at 1e-310
+    k = derive_curvature(6, "kdelta").K
+    with pytest.raises(UsageError, match=re.escape(
+            "the value at s = 1e-310, t = 1.0 lies outside the float64 range")):
+        eval_function(k, 1e-310)
+    assert math.isclose(eval_function(k, 1e-100), -1 / (6 * 1e-100**2), rel_tol=1e-12)
+
+
 def test_symbolic_function_equality_and_zero():
     f = radial_integral((1, 1), 2)
     g = from_sympy({"log_s": sp.Rational(1, 1) / (S - 1)})
@@ -455,9 +475,12 @@ def test_sympy_part_outside_rational_functions_is_a_value_error(part):
         from_sympy({"log_s": part})
     assert str(info.value) == (f"{part}: parts must be rational functions with rational "
                                "coefficients in the positive symbols s, t")
-    # the factors sympy input is read with keep working
-    g = from_sympy({"log_s": (3 * S - 2) / (S + 2 * T)})
-    assert g.parts["log_s"] == (3 * S - 2) / (S + 2 * T)
+    # a rational function in the ring keeps working; one outside it is the
+    # named error
+    g = from_sympy({"log_s": (S + 2 * T) / (S * (S * T - 1))})
+    assert g.parts["log_s"] == (S + 2 * T) / (S**2 * T - S)
+    with pytest.raises(ValueError, match=RING_ERROR):
+        from_sympy({"log_s": (3 * S - 2) / (S + 2 * T)})
 
 
 @pytest.mark.parametrize("build", [lambda: SymbolicFunction({"one": S}),
@@ -479,22 +502,39 @@ def test_fraction_terms_read_each_part_exactly():
 
 
 # random parts built from factors that vanish on the removable set, so that
-# numerators and denominators share factors and the canonical form matters
-_FACTORS = (S, T, S - 1, T - 1, S * T - 1, S + 2 * T, 3 * S - 2)
-_products = st.lists(st.sampled_from(_FACTORS), max_size=3).map(lambda fs: sp.Mul(*fs))
+# numerators and denominators share factors and the canonical form matters:
+# a SymbolicFunction's denominators come from the ring, a bare
+# RationalFunction's from the whole family
+_RING = (S, T, S - 1, T - 1, S * T - 1)
+_FACTORS = _RING + (S + 2 * T, 3 * S - 2)
 _coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6).map(
     lambda q: sp.Rational(q.numerator, q.denominator))
-_terms = st.builds(lambda c, n, d: c * n / d, _coeffs, _products, _products)
-_parts = st.fixed_dictionaries(
-    {tag: st.lists(_terms, max_size=3).map(lambda ts: sp.Add(*ts))
-     for tag in ("one", "log_s", "log_st")})
+
+
+def _products(factors):
+    return st.lists(st.sampled_from(factors), max_size=3).map(lambda fs: sp.Mul(*fs))
+
+
+def _parts(denominators):
+    terms = st.builds(lambda c, n, d: c * n / d, _coeffs, _products(_FACTORS),
+                      _products(denominators))
+    return st.fixed_dictionaries({tag: st.lists(terms, max_size=3).map(lambda ts: sp.Add(*ts))
+                                  for tag in ("one", "log_s", "log_st")})
 
 
 def _canonical(expr) -> str:
     return str(sp.cancel(sp.together(expr)))
 
 
-@given(p=_parts, q=_parts, c=_coeffs)
+def _expr(part: RationalFunction):
+    """part as sympy's quotient of its numerator and denominator, the form
+    ``SymbolicFunction.parts`` gives."""
+    num, den = (sp.Add(*(sp.Rational(c.numerator, c.denominator) * S**i * T**j for (i, j), c in poly.items()))
+                for poly in part.fraction())
+    return num / den
+
+
+@given(p=_parts(_RING), q=_parts(_RING), c=_coeffs)
 @settings(deadline=None, max_examples=25)
 def test_symbolic_function_parts_are_the_cancelled_expressions(p, q, c):
     # the golden reports and the benchmark's references print and re-read
@@ -509,7 +549,21 @@ def test_symbolic_function_parts_are_the_cancelled_expressions(p, q, c):
     assert rewritten == f and hash(rewritten) == hash(f)
 
 
-@given(p=_parts, n=_products, d=_products)
+@given(p=_parts(_FACTORS), q=_parts(_FACTORS), c=_coeffs)
+@settings(deadline=None, max_examples=25)
+def test_rational_functions_are_the_cancelled_expressions(p, q, c):
+    # the same, part by part, with denominators outside the ring
+    for tag in p:
+        f, g = from_sympy_part(p[tag]), from_sympy_part(q[tag])
+        assert str(_expr(f)) == _canonical(p[tag])
+        assert str(_expr(f + g)) == _canonical(p[tag] + q[tag])
+        assert str(_expr(f * from_sympy_part(c))) == _canonical(c * p[tag])
+        assert (f == g) == (_canonical(p[tag] - q[tag]) == "0")
+        rewritten = from_sympy_part(sp.expand(sp.together(p[tag])))
+        assert rewritten == f and hash(rewritten) == hash(f)
+
+
+@given(p=_parts(_RING), n=_products(_FACTORS), d=_products(_RING))
 @settings(deadline=None, max_examples=25)
 def test_products_cancel_to_the_cancelled_expressions(p, n, d):
     # scaling by a rational function cancels its numerator against the
@@ -517,3 +571,11 @@ def test_products_cancel_to_the_cancelled_expressions(p, n, d):
     f = from_sympy(p).scaled(from_sympy_part(n / d))
     for tag in p:
         assert str(f.parts[tag]) == _canonical(p[tag] * n / d)
+
+
+@given(p=_parts(_FACTORS), n=_products(_FACTORS), d=_products(_FACTORS))
+@settings(deadline=None, max_examples=25)
+def test_rational_function_products_cancel_to_the_cancelled_expressions(p, n, d):
+    factor = from_sympy_part(n / d)
+    for tag in p:
+        assert str(_expr(from_sympy_part(p[tag]) * factor)) == _canonical(p[tag] * n / d)

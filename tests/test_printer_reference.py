@@ -1,19 +1,20 @@
 """The native printer against the sympy printing it replaced.
 
-``reference_render`` and ``reference_parts_strings`` are that printing:
+``reference_render`` and ``reference_part_string`` are that printing:
 each part's numerator and denominator rebuilt as sympy polynomials
-(``_poly_expr``), the parts printed by ``str`` of their quotient, and the
+(``_poly_expr``), a part printed by ``str`` of their quotient, and the
 single fraction assembled as a sympy ``Add`` over a sympy ``Mul`` of the
-factored denominator.  ``SymbolicFunction.render`` and ``parts_strings``
-write the same strings through ``artifact.printer`` without sympy, and must
-match them exactly: the golden reports and the benchmark references pin
-these strings.
+factored denominator.  ``artifact.printer`` (``render``, ``part_string``)
+and through it ``SymbolicFunction.render`` and ``parts_strings`` write the
+same strings without sympy, and must match them exactly: the golden
+reports and the benchmark references pin these strings.  The printer takes
+parts with any denominator, a ``SymbolicFunction`` only the ring's.
 """
 
 from fractions import Fraction
 from functools import reduce
 from operator import mul
-from typing import Dict, Mapping, Tuple, Union
+from typing import Mapping, Sequence, Tuple, Union
 
 import pytest
 import sympy as sp
@@ -21,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from artifact.exactnum import RationalFunction, integer_scaled, poly_add
 from artifact.modular_function_engine import SymbolicFunction, derive_curvature
+from artifact.printer import part_string, render
 
 S, T = sp.symbols("s t", positive=True)
 
@@ -33,22 +35,19 @@ def _poly_expr(poly: Mapping[Tuple[int, int], Union[int, Fraction]]):
                     for (i, j), c in poly.items()))
 
 
-def reference_parts_strings(f: SymbolicFunction) -> Dict[str, str]:
-    out = {}
-    for tag, v in zip(("one", "log_s", "log_st"), f._parts):
-        num, den = v.fraction()
-        out[tag] = str(_poly_expr(num) / _poly_expr(den)).replace("**", "^")
-    return out
+def reference_part_string(part: RationalFunction) -> str:
+    num, den = part.fraction()
+    return str(_poly_expr(num) / _poly_expr(den)).replace("**", "^")
 
 
-def reference_render(f: SymbolicFunction) -> str:
-    if f.is_zero():
+def reference_render(parts: Sequence[RationalFunction]) -> str:
+    if not any(parts):
         return "0"
     den = {}
-    for v in f._parts:
+    for v in parts:
         for g, e in v.factors:
             den[g] = max(den.get(g, 0), e)
-    one, log_s, log_st = (v.numerator_over(den) for v in f._parts)
+    one, log_s, log_st = (v.numerator_over(den) for v in parts)
     # on the basis 1, log s, log t, as sympy expands log(st) for s, t > 0
     nums, scale = integer_scaled([one, poly_add(log_s, log_st), log_st])
     if not den and scale > 1 and sum(map(len, nums)) > 1:
@@ -67,11 +66,17 @@ def reference_render(f: SymbolicFunction) -> str:
     return f"({num_s}) / ({str(den_expr).replace('**', '^')})"
 
 
+def _assert_parts_print_as_reference(parts: Sequence[RationalFunction]) -> None:
+    assert render(parts) == reference_render(parts)
+    assert [part_string(v) for v in parts] == [reference_part_string(v) for v in parts]
+
+
 def _assert_prints_as_reference(f: SymbolicFunction) -> None:
-    rendered = reference_render(f)
+    rendered = reference_render(f._parts)
     assert f.render() == rendered
     assert repr(f) == f"SymbolicFunction({rendered!r})"
-    assert f.parts_strings() == reference_parts_strings(f)
+    assert f.parts_strings() == dict(zip(("one", "log_s", "log_st"),
+                                         map(reference_part_string, f._parts)))
 
 
 @pytest.mark.parametrize("which", ["K", "G"])
@@ -80,8 +85,9 @@ def test_reports_print_as_the_sympy_reference(dim, operator, which):
     _assert_prints_as_reference(getattr(derive_curvature(dim, operator), which))
 
 
-# the factor family of the engine's hypothesis tests: the node gaps, and
-# others whose sort keys, signs and constants differ
+# the factor family of the engine's hypothesis tests: the five factors of
+# SymbolicFunction's ring (s, t and the node gaps), and others whose sort
+# keys, signs and constants differ
 _FACTORS = (
     {(1, 0): 1}, {(0, 1): 1}, {(1, 0): 1, (0, 0): -1}, {(0, 1): 1, (0, 0): -1},
     {(1, 1): 1, (0, 0): -1}, {(1, 0): 1, (0, 1): 2}, {(1, 0): 3, (0, 0): -2},
@@ -95,12 +101,16 @@ def _rf(c, num=(), den=()) -> RationalFunction:
                   RationalFunction({(0, 0): c}, [(_FACTORS[k], 1) for k in den]))
 
 
+def _part(terms) -> RationalFunction:
+    return sum((_rf(*term) for term in terms), RationalFunction())
+
+
 def _fn(**parts) -> SymbolicFunction:
-    return SymbolicFunction({tag: sum((_rf(*term) for term in terms), RationalFunction())
-                             for tag, terms in parts.items()})
+    return SymbolicFunction({tag: _part(terms) for tag, terms in parts.items()})
 
 
 S_, T_, S1, T1, ST1, S2T, S32, SMT, S21, T2S = range(10)
+RING = {S_, T_, S1, T1, ST1}
 HALF = Fraction(1, 2)
 
 SHAPES = {
@@ -151,7 +161,11 @@ _parts = st.lists(st.tuples(_coeffs, _indices, _indices), max_size=3)
 @given(one=_parts, log_s=_parts, log_st=_parts)
 @settings(deadline=None, max_examples=200)
 def test_random_functions_print_as_the_sympy_reference(one, log_s, log_st):
-    _assert_prints_as_reference(_fn(one=one, log_s=log_s, log_st=log_st))
+    # the printer takes any denominator; a SymbolicFunction only the ring's
+    drawn = (one, log_s, log_st)
+    _assert_parts_print_as_reference([_part(terms) for terms in drawn])
+    if all(k in RING for terms in drawn for _, _, den in terms for k in den):
+        _assert_prints_as_reference(_fn(one=one, log_s=log_s, log_st=log_st))
 
 
 @given(one=_parts, log_s=_parts, log_st=_parts)
