@@ -427,10 +427,20 @@ def gauss_bonnet_residual(h: FourierElement, theta: SkewMatrix,
         R = kinv * K(Delta)(dd k)  +  kinv^2 * G(Delta1, Delta2)(dk dk)
 
     summed over the two flat directions, Delta = exp(-ad_h), with the
-    functional calculus truncated at total degree series_order.  The G term
-    uses trace(kinv^2 (P_a P_b)) = trace((kinv^2 P_a) P_b), P_a = (-ad_h)^a(d_j k),
-    to make one product per Taylor row a.  Expected to vanish up to truncation
-    error; an h that is not self-adjoint or has |h|_1 > 0.2 is a UsageError.
+    functional calculus truncated at total degree series_order.  Two
+    identities reduce the trace.  The truncated kinv and kinv^2 are
+    polynomials in h, so they commute with h; and trace(ad_h(x) y) =
+    -trace(x ad_h(y)), since trace(x y) = trace(y x) for skew Theta.  Hence
+    trace(kinv (-ad_h)^n(dd k)) = 0 for n >= 1, and with
+    P_n = (-ad_h)^n(d_j k),
+
+        sum_ab c_ab trace(kinv^2 P_a P_b) = sum_n d_n trace((kinv^2 d_j k) P_n),
+        d_n = sum_(a+b=n) (-1)^a c_ab,
+
+    the Taylor coefficients of G(e^{-z}, e^z).  So the residual reads K only
+    at 1 and G only on the curve st = 1, with one large product per
+    direction.  Expected to vanish up to truncation error; an h that is not
+    self-adjoint or has |h|_1 > 0.2 is a UsageError.
     """
     if h.n != 2 or theta.n != 2:
         raise UsageError("the Gauss-Bonnet oracle is a rank-2 check")
@@ -464,30 +474,21 @@ def gauss_bonnet_residual(h: FourierElement, theta: SkewMatrix,
             support_cap,
         )
 
-    def ad_powers(rho: FourierElement, top: int) -> List[FourierElement]:
-        powers = [rho]
-        for _ in range(top):
-            powers.append(minus_ad_h(powers[-1]))
-        return powers
+    # one-variable channel: only K(1) survives the trace
+    total = float(kcoeffs[0]) * _pair_trace(kinv, ddk)
 
-    # one-variable channel: kinv * K(Delta)(contracted second derivative)
-    powers = ad_powers(ddk, series_order)
-    k_applied = FourierElement.zero(2, "float")
-    for n, c in enumerate(kcoeffs):
-        if c:
-            k_applied = k_applied + powers[n].scaled(float(c))
-    k_applied = _prune(k_applied, support_cap)
-    total = _pair_trace(kinv, k_applied)
-
-    # two-variable channel, summed over the flat directions, by Taylor rows
+    # two-variable channel, summed over the flat directions: G on st = 1
+    dsums = [Fraction(0)] * (series_order + 1)
+    for a, b, c in gcoeffs:
+        if a + b <= series_order:
+            dsums[a + b] += -c if a % 2 else c
+    dcoeffs = [float(d) for d in dsums]
     for j in (0, 1):
-        pow_j = ad_powers(dk[j], series_order)
-        rows = [FourierElement.zero(2, "float") for _ in pow_j]
-        for a, b, c in gcoeffs:
-            if a + b <= series_order:
-                rows[a] = rows[a] + pow_j[b].scaled(float(c))
-        for p_a, row in zip(pow_j, rows):
-            left = _prune(deformed_product(kinv2, p_a, theta), support_cap)
-            total += _pair_trace(left, _prune(row, support_cap))
+        left = _prune(deformed_product(kinv2, dk[j], theta), support_cap)
+        p_n = dk[j]
+        for n, d in enumerate(dcoeffs):
+            if n:
+                p_n = minus_ad_h(p_n)
+            total += d * _pair_trace(left, p_n)
 
     return abs(total)

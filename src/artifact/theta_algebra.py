@@ -369,8 +369,10 @@ def _float_literal(text: str) -> float:
 
 
 def parse_element(text: str, n: int, mode: str = "exact") -> FourierElement:
-    """format_element's line format; a malformed line raises ValueError."""
+    """format_element's line format; a malformed line, or one repeating an
+    earlier line's multi-index, raises ValueError."""
     coeffs: Dict[Index, Coeff] = {}
+    first_line: Dict[Index, int] = {}
     for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -385,4 +387,8 @@ def parse_element(text: str, n: int, mode: str = "exact") -> FourierElement:
                 coeffs[idx] = complex(_float_literal(re_s), _float_literal(im_s))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"line {number} is not `r1,...,rn : re,im`: {exc}") from None
+        if idx in first_line:
+            raise ValueError(f"line {number} repeats the mode "
+                             f"{','.join(map(str, idx))} of line {first_line[idx]}")
+        first_line[idx] = number
     return FourierElement(n, coeffs, mode)

@@ -539,7 +539,8 @@ def test_gauss_bonnet_runs_an_exponent_with_modes_on_both_axes(runner, tmp_path)
 
 def test_gauss_bonnet_support_overflow_exits_3(runner, tmp_path):
     # eight modes at the norm limit |h|_1 = 0.2 outgrow the command's support
-    # cap of 500 modes; lifted, the cap would let them run about 0.9 s per theta
+    # cap of 500 modes at theta = 0, the first row (540 modes); they fit at
+    # the other two theta, and lifted, the cap would let theta = 0 run in 0.05 s
     hfile = _exponent_file(tmp_path, AXIS_MODES + DIAGONAL_MODES, 0.025)
     result = runner.invoke(cli.main, ["gauss-bonnet", hfile])
     assert result.exit_code == 3
@@ -555,8 +556,9 @@ def test_gauss_bonnet_support_overflow_exits_3(runner, tmp_path):
     ("1,0 : nan,0\n-1,0 : nan,0", "line 1 is not `r1,...,rn : re,im`: coefficient nan is not finite"),
     ("1,0 : 0.01,0\n-1,0 : 0.01,-inf", "line 2 is not `r1,...,rn : re,im`: coefficient -inf is not finite"),
     ("1,0 : 1e-400,0", "line 1 is not `r1,...,rn : re,im`: coefficient 1e-400 underflows to 0.0"),
+    ("1,0 : 0.05,0\n-1,0 : 0.05,0\n1,0 : 0.01,0", "line 3 repeats the mode 1,0 of line 1"),
 ], ids=["not-a-number", "no-imaginary-part", "wrong-rank", "not-self-adjoint",
-        "norm-above-0.2", "nan", "infinite", "underflow"])
+        "norm-above-0.2", "nan", "infinite", "underflow", "repeated-mode"])
 def test_gauss_bonnet_bad_exponent_file_is_a_usage_error(runner, tmp_path, text, reason):
     hfile = tmp_path / "h.txt"
     hfile.write_text(text + "\n")

@@ -278,6 +278,17 @@ def test_parse_rejects_coefficients_it_cannot_represent(text, mode, reason):
     assert str(err.value).startswith(reason)
 
 
+@pytest.mark.parametrize("text, mode", [
+    ("1,0 : 1/20,0\n-1,0 : 1/20,0\n1, 0 : 1/100,0", "exact"),
+    ("1,0 : 0.05,0\n-1,0 : 0.05,0\n1, 0 : 0.01,0", "float"),
+], ids=["exact", "float"])
+def test_parse_rejects_a_repeated_mode(text, mode):
+    # the multi-index is compared after parsing, so spacing does not hide it
+    with pytest.raises(ValueError) as err:
+        parse_element(text, 2, mode=mode)
+    assert str(err.value) == "line 3 repeats the mode 1,0 of line 1"
+
+
 def test_parse_keeps_zero_literals_and_subnormals():
     x = parse_element("1,0 : 0.0e-400,5e-324\n0,1 : -0,1e-300", 2, mode="float")
     assert x.coeffs == {(1, 0): complex(0.0, 5e-324), (0, 1): complex(0.0, 1e-300)}
