@@ -49,6 +49,7 @@ mpmath is imported only on that path, at its first call, and sympy only by
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -76,6 +77,7 @@ __all__ = [
     "integrate_dim2",
     "integrate_dim_m",
     "radial_integral",
+    "family_exponents",
     "scalar_profile",
     "operator_symbols",
     "derive_curvature",
@@ -634,6 +636,18 @@ def _divided_difference(mults: Tuple[int, int, int], m: int) -> Tuple[RationalFu
     )
 
 
+def family_exponents(exponents: Sequence[int]) -> Tuple[int, ...]:
+    """The block exponents as Python ints, read by operator.index so numpy
+    integers pass; any other value (2.5, 2.0, "2") is a SignatureError."""
+    out = []
+    for e in exponents:
+        try:
+            out.append(operator.index(e))
+        except TypeError:
+            raise SignatureError(f"family exponents must be integers, got {e!r}") from None
+    return tuple(out)
+
+
 def radial_integral(exponents: Sequence[int], m: int) -> SymbolicFunction:
     """The radial family with b0 exponents (p[, q[, l]]) in even dimension m:
     (-1)^(P-1) phi_m[1^(p), s^(q), (st)^(l)], P = p + q + l.
@@ -643,6 +657,7 @@ def radial_integral(exponents: Sequence[int], m: int) -> SymbolicFunction:
     """
     if m < 2 or m % 2:
         raise UsageError("the radial families need even m >= 2")
+    exponents = family_exponents(exponents)
     if len(exponents) not in (1, 2, 3):
         raise SignatureError("family exponents must have 1, 2, or 3 entries")
     if min(exponents) < 0:
@@ -651,7 +666,7 @@ def radial_integral(exponents: Sequence[int], m: int) -> SymbolicFunction:
     if total < 2:
         raise DivergentIntegralError("divergent integral: block exponents sum below 2")
     sign = (-1) ** (total - 1)
-    value = _divided_difference(tuple(exponents) + (0,) * (3 - len(exponents)), m)
+    value = _divided_difference(exponents + (0,) * (3 - len(exponents)), m)
     return SymbolicFunction({tag: sign * v for tag, v in zip(_BASIS, value)})
 
 

@@ -8,6 +8,7 @@ adjudicates the sign and normalization of the derived curvature functions.
 
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -126,6 +127,51 @@ def test_quadrature_spec_validation():
         QuadratureSpec(abs_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(max_depth=0)
+    # a NaN tolerance would let an unconverged value through
+    for tol in (math.nan, math.inf, -1e-12, "1e-12"):
+        with pytest.raises(ValueError, match=re.escape(f"abs_tol must be a finite number > 0, got {tol!r}")):
+            QuadratureSpec(abs_tol=tol)
+    for depth in (2.5, True, 8.0, "8", 0):
+        with pytest.raises(ValueError, match=re.escape(f"max_depth must be an int >= 1, got {depth!r}")):
+            QuadratureSpec(max_depth=depth)
+
+
+@pytest.mark.parametrize("exponents, s, t", [
+    ((2, 1), 1e-150, 1.0),       # a finite level, then an overflowed one
+    ((1, 1), 1e-290, 1.0),
+    ((2, 1, 1), 1e200, 1e200),   # s t overflows to inf
+    ((2, 1, 1), 1e-200, 1e-200),  # s t underflows to 0
+])
+def test_quadrature_leaving_the_float64_range_raises(exponents, s, t):
+    # an overflowed level used to pass the convergence test (inf <= 1e-13 inf)
+    # and return inf; an out-of-range s t died on int(NaN) with two warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="leaves the float64 range at these scales"):
+            quad_r_integral(exponents, s, t)
+
+
+# the three entry points that read family exponents
+EXPONENT_READERS = [
+    lambda e: radial_integral(e, 2),
+    lambda e: quad_r_integral(e, 2.0),
+    lambda e: matrix_rearrangement_check(3, 0, e),
+]
+EXPONENT_READER_IDS = ["radial_integral", "quad_r_integral", "matrix_rearrangement_check"]
+
+
+@pytest.mark.parametrize("call", EXPONENT_READERS, ids=EXPONENT_READER_IDS)
+@pytest.mark.parametrize("bad", [2.5, 2.0, "2", None], ids=repr)
+def test_family_exponents_must_be_integers(call, bad):
+    # 2.5 used to recurse without end in radial_integral and be read as 2 by
+    # int() in the two oracles
+    with pytest.raises(SignatureError, match=re.escape(f"family exponents must be integers, got {bad!r}")):
+        call((bad, 1))
+
+
+@pytest.mark.parametrize("call", EXPONENT_READERS, ids=EXPONENT_READER_IDS)
+def test_numpy_integer_exponents_are_read_as_ints(call):
+    assert call((np.int64(2), np.int32(1))) == call((2, 1))
 
 
 def test_two_family_inversion_scaling_law():
