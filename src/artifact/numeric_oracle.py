@@ -19,6 +19,8 @@ Three oracles, none of which shares code with the exact derivation:
   conformal factor k = exp(h) on the deformed 2-torus by truncated
   functional calculus (Delta = exp(-ad_h)) and returns |trace|, which the
   Gauss-Bonnet identity says must vanish up to series/support truncation.
+  k, k^-1 and k^-2 come from one chain of powers of h, and each power of
+  -ad_h from one commutator pass of the twisted-product kernel.
   The Taylor coefficients of K(e^z) and G(e^{z1}, e^{z2}) are exact: each
   part of the derived closed forms is expanded along rays (e^{a z}, e^{b z})
   as a quotient of integer power-sum series, and G's coefficients are read
@@ -31,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -42,6 +45,7 @@ from .theta_algebra import (
     FourierElement,
     SelfAdjointnessError,
     SkewMatrix,
+    commutator,
     deformed_product,
     derivation,
     exp_element,
@@ -478,11 +482,13 @@ def _prune(elem: FourierElement, cap: int) -> FourierElement:
 
 def _pair_trace(a: FourierElement, b: FourierElement) -> complex:
     """trace(a x_Theta b) = sum_r a_r b_(-r): the bi-character drops out
-    because <r, Theta r> = 0 for skew Theta."""
+    because <r, Theta r> = 0 for skew Theta.  The sum runs over the smaller
+    operand and looks the negated modes up in the larger."""
+    if len(b.coeffs) < len(a.coeffs):
+        a, b = b, a
     total = 0j
     for idx, c in a.coeffs.items():
-        neg = tuple(-x for x in idx)
-        other = b.coeffs.get(neg)
+        other = b.coeffs.get(tuple(map(operator.neg, idx)))
         if other is not None:
             total += c * other
     return total
@@ -509,7 +515,12 @@ def gauss_bonnet_residual(h: FourierElement, theta: SkewMatrix,
 
     the Taylor coefficients of G(e^{-z}, e^z).  So the residual reads K only
     at 1 and G only on the curve st = 1, with one large product per
-    direction.  Expected to vanish up to truncation error; an h that is not
+    direction.  The work at order N is N products for the power chain
+    P_m = P_(m-1) h / m, from which k, kinv and kinv^2 are sum c^m P_m for
+    c = 1, -1, -2; the two products kinv^2 d_j k; and at most N commutators
+    P_n = P_(n-1) h - h P_(n-1) per direction, the chain stopping once P_n
+    is empty (at its first step for a line-mode h, whose modes pair to
+    zero).  Expected to vanish up to truncation error; an h that is not
     self-adjoint or has |h|_1 > 0.2 is a UsageError.
     """
     if h.n != 2 or theta.n != 2:
@@ -532,17 +543,10 @@ def gauss_bonnet_residual(h: FourierElement, theta: SkewMatrix,
 
     kcoeffs, gcoeffs = _dim2_taylor(series_order)
 
-    k = _prune(exp_element(hf, theta, series_order), support_cap)
-    kinv = _prune(exp_element(hf.scaled(-1.0), theta, series_order), support_cap)
-    kinv2 = _prune(exp_element(hf.scaled(-2.0), theta, series_order), support_cap)
+    k, kinv, kinv2 = (_prune(e, support_cap)
+                      for e in exp_element(hf, theta, series_order, factors=(1, -1, -2)))
     dk = [derivation(k, 1), derivation(k, 2)]
     ddk = derivation(dk[0], 1) + derivation(dk[1], 2)
-
-    def minus_ad_h(rho: FourierElement) -> FourierElement:
-        return _prune(
-            deformed_product(rho, hf, theta) - deformed_product(hf, rho, theta),
-            support_cap,
-        )
 
     # one-variable channel: only K(1) survives the trace
     total = float(kcoeffs[0]) * _pair_trace(kinv, ddk)
@@ -558,7 +562,10 @@ def gauss_bonnet_residual(h: FourierElement, theta: SkewMatrix,
         p_n = dk[j]
         for n, d in enumerate(dcoeffs):
             if n:
-                p_n = minus_ad_h(p_n)
+                # -ad_h(rho) = rho h - h rho; after an empty power all are empty
+                p_n = _prune(commutator(p_n, hf, theta), support_cap)
+                if not p_n.coeffs:
+                    break
             total += d * _pair_trace(left, p_n)
 
     return abs(total)

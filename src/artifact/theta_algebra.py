@@ -17,10 +17,11 @@ it); the operations build canonical results through FourierElement._canonical.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -63,6 +64,10 @@ class SkewMatrix:
             raise ValueError("torus rank must be positive")
         if len(self.entries) != self.n or any(len(row) != self.n for row in self.entries):
             raise ValueError("entries must be an n-by-n array")
+        # inf == -(-inf) passes the skew test, and every phase would be NaN
+        if any(isinstance(x, float) and not math.isfinite(x)
+               for row in self.entries for x in row):
+            raise ValueError("deformation matrix entries must be finite")
         for a in range(self.n):
             for b in range(self.n):
                 if self.entries[a][b] != -self.entries[b][a]:
@@ -211,7 +216,7 @@ def deformed_product(a: FourierElement, b: FourierElement, theta: SkewMatrix) ->
     if theta.n != a.n:
         raise RankMismatchError("deformation matrix rank differs from elements")
     if a.mode == "float":
-        return _float_product(a, b, theta)
+        return _float_twisted(a, b, theta, _product_phase)
     out: Dict[Index, Coeff] = {}
     for r, ar in a.coeffs.items():
         for s, bs in b.coeffs.items():
@@ -219,6 +224,18 @@ def deformed_product(a: FourierElement, b: FourierElement, theta: SkewMatrix) ->
             phase = chi(theta, r, s, exact=True)
             out[k] = out.get(k, GaussianRational(0)) + phase * ar * bs
     return FourierElement._canonical(a.n, out, a.mode)
+
+
+def commutator(a: FourierElement, b: FourierElement, theta: SkewMatrix) -> FourierElement:
+    """a b - b a: coefficient at k is sum_{r+s=k} 2i sin(pi <r, Theta s>) a_r b_s,
+    since chi(s, r) is the conjugate of chi(r, s); exactly zero where every
+    pairing vanishes.  Float mode makes one pass over the |a|*|b| pairs."""
+    a._check_compatible(b)
+    if theta.n != a.n:
+        raise RankMismatchError("deformation matrix rank differs from elements")
+    if a.mode == "float":
+        return _float_twisted(a, b, theta, _commutator_phase)
+    return deformed_product(a, b, theta) - deformed_product(b, a, theta)
 
 
 def _pairings(theta: SkewMatrix, r: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -245,22 +262,40 @@ def _pairings(theta: SkewMatrix, r: np.ndarray, s: np.ndarray) -> np.ndarray:
 _DENSE_BINS = 1 << 16
 
 
-def _float_product(a: FourierElement, b: FourierElement, theta: SkewMatrix) -> FourierElement:
-    """The float deformed product over all |a|*|b| pairs at once, bit for bit
-    the pair loop over chi it replaced (kept as the reference in
+def _index_array(a: FourierElement) -> np.ndarray:
+    """a's multi-indices as the rows of an int64 array, in key order."""
+    flat = itertools.chain.from_iterable(a.coeffs)
+    return np.fromiter(flat, np.int64, len(a.coeffs) * a.n).reshape(-1, a.n)
+
+
+def _product_phase(angle: np.ndarray):
+    # chi(r, s) = cmath.exp(1j * pi * q) = cos(pi q) + i sin(pi q)
+    return np.cos(angle), np.sin(angle)
+
+
+def _commutator_phase(angle: np.ndarray):
+    # chi(r, s) - chi(s, r) = 2i sin(pi q)
+    return 0.0, 2.0 * np.sin(angle)
+
+
+def _float_twisted(a: FourierElement, b: FourierElement, theta: SkewMatrix,
+                   phase) -> FourierElement:
+    """sum_{r+s=k} phase(pi <r, Theta s>) a_r b_s over all |a|*|b| pairs at
+    once, phase giving the real and imaginary parts of the pair's factor.
+
+    With _product_phase this is the deformed product, bit for bit the pair
+    loop over chi it replaced (kept as the reference in
     tests/test_float_product.py): the same phases, complex products in
     Python's real arithmetic, each target summed in pair order by bincount,
-    and the targets in order of first appearance."""
+    and the targets in order of first appearance.  A factor that vanishes
+    on every pair leaves only zero sums, which are dropped."""
     if not a.coeffs or not b.coeffs:
         return FourierElement._canonical(a.n, {}, "float")
-    r = np.array(list(a.coeffs), dtype=np.int64)
-    s = np.array(list(b.coeffs), dtype=np.int64)
-    ac = np.array(list(a.coeffs.values()))[:, None]
-    bc = np.array(list(b.coeffs.values()))[None, :]
-    # chi(r, s) = cmath.exp(1j * pi * q) = cos(pi q) + i sin(pi q)
-    angle = math.pi * _pairings(theta, r, s)
-    cos, sin = np.cos(angle), np.sin(angle)
-    # (chi * a_r) * b_s, each product as (x+iy)(u+iv) = (xu - yv) + i(xv + yu)
+    r, s = _index_array(a), _index_array(b)
+    cos, sin = phase(math.pi * _pairings(theta, r, s))
+    ac = np.fromiter(a.coeffs.values(), complex, len(a.coeffs))[:, None]
+    bc = np.fromiter(b.coeffs.values(), complex, len(b.coeffs))[None, :]
+    # (phase * a_r) * b_s, each product as (x+iy)(u+iv) = (xu - yv) + i(xv + yu)
     tre = cos * ac.real - sin * ac.imag
     tim = cos * ac.imag + sin * ac.real
     re = (tre * bc.real - tim * bc.imag).ravel()
@@ -283,12 +318,12 @@ def _float_product(a: FourierElement, b: FourierElement, theta: SkewMatrix) -> F
     np.minimum.at(first, slot, np.arange(pairs))
     hit = np.flatnonzero(first < pairs)
     hit = hit[np.argsort(first[hit])]
-    sum_re = np.bincount(slot, re, bins)[hit]
-    sum_im = np.bincount(slot, im, bins)[hit]
+    sums = np.empty(len(hit), complex)
+    sums.real = np.bincount(slot, re, bins)[hit]
+    sums.imag = np.bincount(slot, im, bins)[hit]
     i, j = np.divmod(first[hit], len(s))
-    keys = (r[i] + s[j]).tolist()
-    coeffs = dict(zip(map(tuple, keys), map(complex, sum_re.tolist(), sum_im.tolist())))
-    return FourierElement._canonical(a.n, coeffs, "float")
+    keys = zip(*(r[i] + s[j]).T.tolist())
+    return FourierElement._canonical(a.n, dict(zip(keys, sums.tolist())), "float")
 
 
 def star(a: FourierElement) -> FourierElement:
@@ -324,22 +359,34 @@ def is_self_adjoint(a: FourierElement, tol: float = 0.0) -> bool:
     return all(abs(a.coeffs.get(k, 0j) - s.coeffs.get(k, 0j)) <= tol for k in keys)
 
 
-def exp_element(h: FourierElement, theta: SkewMatrix, order: int) -> FourierElement:
+def exp_element(h: FourierElement, theta: SkewMatrix, order: int,
+                factors: Optional[Tuple[int, ...]] = None
+                ) -> Union[FourierElement, Tuple[FourierElement, ...]]:
     """Truncated twisted exponential sum_{m<=order} h^m / m!.
 
     Requires star(h) = h. The series tail is bounded in l1 norm by
     ||h||^(order+1)/(order+1)! because the l1 norm is submultiplicative.
+
+    With a tuple of integers factors, the tuple of the truncated exp(c h)
+    for each c in it, from one chain of powers P_m = (P_(m-1) h) / m as
+    sum_{m<=order} c^m P_m.  For c = 1 these are the operations of the
+    single exponential.  Where c is a power of two up to sign (1, -1, -2,
+    ...), scaling by c^m is exact in float mode, so c^m P_m is bit for bit
+    the m-th term of exp_element(c h), barring underflow.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     if not is_self_adjoint(h, tol=1e-12 if h.mode == "float" else 0.0):
         raise SelfAdjointnessError("exponent must be self-adjoint")
-    acc = term = FourierElement.unit(h.n, h.mode)
+    scales = (1,) if factors is None else factors
+    term = FourierElement.unit(h.n, h.mode)
+    accs = [term] * len(scales)
     for m in range(1, order + 1):
         term = deformed_product(term, h, theta)
         term = term.scaled(Fraction(1, m))
-        acc = acc + term
-    return acc
+        accs = [acc + (term if c ** m == 1 else term.scaled(c ** m))
+                for acc, c in zip(accs, scales)]
+    return accs[0] if factors is None else tuple(accs)
 
 
 # -- text fixtures ----------------------------------------------------------

@@ -7,8 +7,9 @@ P_a = (-ad_h)^a(d_j k) is built, pruned, scaled by c_ab and summed, and only
 the sum is traced against kinv^2.  ``gauss_bonnet_residual`` reads the same
 trace through two identities: kinv and kinv^2 commute with h, and ad_h is
 skew for the trace.  So only K(1) and G on st = 1 enter, with one product
-kinv^2 d_j k per direction; the two agree to rounding and the new one makes
-fewer products.
+kinv^2 d_j k per direction; it takes k, kinv and kinv^2 from one chain of
+powers of h and each -ad_h from one commutator pass.  The two agree to
+rounding and the new one does a fraction of the work.
 """
 
 import math
@@ -17,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 from artifact import numeric_oracle as oracle
+from artifact import theta_algebra
 from artifact.theta_algebra import FourierElement, SkewMatrix, derivation, exp_element
 
 CAP = 1000
@@ -152,23 +154,71 @@ def test_the_trace_sees_K_only_at_1_and_G_only_on_st_1(monkeypatch, mutate, seen
                 assert abs(value - base) <= 1e-15, (skew, value, base)
 
 
-def test_one_product_per_direction(monkeypatch):
+def _count_work(monkeypatch):
+    """Record (kind, support of the result) for every twisted product and
+    commutator: 'power' for the products of the exponentials' power chains,
+    'product' and 'commutator' for the residual's own calls."""
     calls = []
-    product = oracle.deformed_product
 
-    def counted(a, b, theta):
-        calls.append(1)
-        return product(a, b, theta)
+    def counting(kind, fn):
+        def counted(a, b, theta):
+            result = fn(a, b, theta)
+            calls.append((kind, len(result.coeffs)))
+            return result
+        return counted
 
-    monkeypatch.setattr(oracle, "deformed_product", counted)
+    monkeypatch.setattr(theta_algebra, "deformed_product",
+                        counting("power", theta_algebra.deformed_product))
+    monkeypatch.setattr(oracle, "deformed_product", counting("product", oracle.deformed_product))
+    monkeypatch.setattr(oracle, "commutator", counting("commutator", oracle.commutator))
+    return calls
+
+
+def _kinds(calls):
+    return {kind: sum(1 for k, _ in calls if k == kind)
+            for kind in ("power", "product", "commutator")}
+
+
+def test_one_product_per_direction(monkeypatch):
+    calls = _count_work(monkeypatch)
     h, theta = oracle.cross_mode(0.025), SkewMatrix.standard_2d(1.0 / 3.0)
     oracle.gauss_bonnet_residual(h, theta, series_order=6, support_cap=CAP)
-    # order 6: two products per ad-power of d_1 k and d_2 k, and kinv^2 d_j k
-    assert len(calls) == 2 * 2 * 6 + 2
+    # order 6: one power chain for k, kinv and kinv^2, kinv^2 d_j k for each
+    # direction, and one commutator per ad-power of d_1 k and d_2 k
+    assert _kinds(calls) == {"power": 6, "product": 2, "commutator": 2 * 6}
     calls.clear()
     reference_residual(h, theta, 6)
-    # the ad-powers of dd k, d_1 k and d_2 k, and the 28 coefficients c_ab
-    # with a + b <= 6 per direction
+    # three exponentials, and the ad-powers of dd k, d_1 k and d_2 k as two
+    # products each, and the 28 coefficients c_ab with a + b <= 6 per direction
     _, gcoeffs = oracle._dim2_taylor(6)
     assert sum(1 for a, b, _ in gcoeffs if a + b <= 6) == 28
-    assert len(calls) == 3 * 2 * 6 + 2 * 28 == 92
+    assert _kinds(calls) == {"power": 3 * 6, "product": 3 * 2 * 6 + 2 * 28,
+                             "commutator": 0}
+
+
+@pytest.mark.parametrize("theta", [theta for _, theta in oracle.GB_THETAS],
+                         ids=[name for name, _ in oracle.GB_THETAS])
+def test_line_mode_ad_chain_is_empty_after_its_first_step(monkeypatch, theta):
+    # modes on one axis pair to zero, so h commutes with d_j k and the chain
+    # stops at its first commutator in each direction
+    calls = _count_work(monkeypatch)
+    oracle.gauss_bonnet_residual(oracle.cos_mode(0.05), SkewMatrix.standard_2d(theta))
+    assert [c for c in calls if c[0] == "commutator"] == [("commutator", 0)] * 2
+    assert _kinds(calls) == {"power": 8, "product": 2, "commutator": 2}
+
+
+def test_the_residual_takes_its_exponentials_from_one_power_chain(monkeypatch):
+    chains = []
+    original = oracle.exp_element
+
+    def recorded(h, theta, order, factors=None):
+        chains.append((h, factors, original(h, theta, order, factors)))
+        return chains[-1][2]
+
+    monkeypatch.setattr(oracle, "exp_element", recorded)
+    h, theta = oracle.cross_mode(0.025), SkewMatrix.standard_2d(1.0 / math.sqrt(2.0))
+    oracle.gauss_bonnet_residual(h, theta, series_order=6, support_cap=CAP)
+    [(hf, factors, elems)] = chains
+    assert factors == (1, -1, -2)
+    for c, elem in zip(factors, elems):
+        assert elem == exp_element(hf.scaled(float(c)), theta, 6)

@@ -17,6 +17,7 @@ from artifact.theta_algebra import (
     SelfAdjointnessError,
     SkewMatrix,
     chi,
+    commutator,
     deformed_product,
     derivation,
     exp_element,
@@ -52,6 +53,25 @@ def coeff_close(a: FourierElement, b: FourierElement, tol: float) -> bool:
         abs(complex(a.coeffs.get(k, 0j)) - complex(b.coeffs.get(k, 0j))) <= tol
         for k in keys
     )
+
+
+# --------------------------------------------------------------------------
+# deformation matrix
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_deformation_matrix_entries_must_be_finite(bad):
+    # inf == -(-inf), so an infinite entry passes the skew test; every phase
+    # would then be NaN and the products silently empty
+    with pytest.raises(ValueError, match="entries must be finite"):
+        SkewMatrix.standard_2d(bad)
+    with pytest.raises(ValueError, match="entries must be finite"):
+        SkewMatrix(3, ((0.0, 0.0, bad), (0.0, 0.0, 0.0), (-bad, 0.0, 0.0)))
+
+
+def test_deformation_matrix_still_rejects_a_non_skew_entry():
+    with pytest.raises(ValueError, match="skew-symmetric"):
+        SkewMatrix(2, ((0.0, 0.5), (0.5, 0.0)))
 
 
 # --------------------------------------------------------------------------
@@ -323,6 +343,7 @@ def test_operations_return_canonical_elements(case, j):
     mode, a, b, th, c = case
     h = (a + star(a)).scaled(Fraction(1, 20))  # self-adjoint
     results = [a + b, a - a, a.scaled(0), a.scaled(c), deformed_product(a, b, th),
+               commutator(a, b, th),
                star(a), derivation(a, j), exp_element(h, th, 3)]
     if mode == "float":
         results.append(oracle._prune(deformed_product(a, b, th), 10**6))
