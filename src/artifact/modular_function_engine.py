@@ -320,6 +320,8 @@ class SymbolicFunction:
         power of y times a constant or y - 1, so the restriction stays in the
         ring."""
         if curve not in self._restrictions:
+            if curve not in _CURVES:
+                raise ValueError(f"curve must be 's', 't' or 'st', got {curve!r}")
             pole, (a, b), (c, d) = _CURVES[curve]
             # sorted, each factor's highest power comes last and stays
             den = dict(sorted(pair for part in self._parts for pair in part.factors))
@@ -648,6 +650,19 @@ def family_exponents(exponents: Sequence[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
+def _even_dimension(m: int, message: str) -> int:
+    """m as a Python int, read by operator.index as family_exponents reads
+    the exponents; a non-integer (4.0, "4", None), an odd m or m < 2 is a
+    UsageError with the given message."""
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise UsageError(f"{message}, got {m!r}") from None
+    if m < 2 or m % 2:
+        raise UsageError(message)
+    return m
+
+
 def radial_integral(exponents: Sequence[int], m: int) -> SymbolicFunction:
     """The radial family with b0 exponents (p[, q[, l]]) in even dimension m:
     (-1)^(P-1) phi_m[1^(p), s^(q), (st)^(l)], P = p + q + l.
@@ -655,8 +670,7 @@ def radial_integral(exponents: Sequence[int], m: int) -> SymbolicFunction:
     At m = 2 this is int_0^oo r^(P-2) (r+1)^-p (s r+1)^-q (s t r+1)^-l dr;
     no prefactor, shift monomial or measure 1/2 is folded in.
     """
-    if m < 2 or m % 2:
-        raise UsageError("the radial families need even m >= 2")
+    m = _even_dimension(m, "the radial families need even m >= 2")
     exponents = family_exponents(exponents)
     if len(exponents) not in (1, 2, 3):
         raise SignatureError("family exponents must have 1, 2, or 3 entries")
@@ -828,8 +842,7 @@ def _normalization_record(m: int) -> Tuple[Tuple[str, str], ...]:
 def derive_curvature(m: int, operator: str) -> CurvatureReport:
     """Run resolvent -> sphere average -> signatures -> radial integrals
     and aggregate the three channels for the requested operator."""
-    if m < 2 or m % 2:
-        raise UsageError("dimension must be an even integer >= 2")
+    m = _even_dimension(m, "dimension must be an even integer >= 2")
     if operator == "nc4tori" and m != 4:
         raise UsageError("the nc4tori operator is defined only at dim 4")
 

@@ -21,11 +21,11 @@ Three oracles, none of which shares code with the exact derivation:
   Gauss-Bonnet identity says must vanish up to series/support truncation.
   k, k^-1 and k^-2 come from one chain of powers of h, and each power of
   -ad_h from one commutator pass of the twisted-product kernel.
-  The Taylor coefficients of K(e^z) and G(e^{z1}, e^{z2}) are exact: each
-  part of the derived closed forms is expanded along rays (e^{a z}, e^{b z})
-  as a quotient of integer power-sum series, and G's coefficients are read
-  off the rays z2 = lam z1 by Newton divided differences, all in Python
-  integers with one Fraction per kept coefficient.
+  The Taylor data it reads is exact: K(1), and the coefficients of
+  G(e^{-z}, e^z) taken from G's exact restriction to the curve st = 1.
+  Each part of a closed form is expanded along a ray (e^{a z}, e^{b z}) as
+  a quotient of integer power-sum series, in Python integers with one
+  Fraction per kept coefficient.
 """
 
 from __future__ import annotations
@@ -99,7 +99,8 @@ class QuadratureSpec:
     def __post_init__(self):
         tol, depth = self.abs_tol, self.max_depth
         # a NaN tolerance would pass every exhaustion test
-        if not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+        if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+                or not 0 < tol < math.inf):
             raise ValueError(f"abs_tol must be a finite number > 0, got {tol!r}")
         if isinstance(depth, bool) or not isinstance(depth, int) or depth < 1:
             raise ValueError(f"max_depth must be an int >= 1, got {depth!r}")
@@ -390,55 +391,14 @@ def _ray_taylor(f: SymbolicFunction, ray: Tuple[int, int], order: int,
     return [acc.get(n, Fraction(0)) for n in range(order + 1)]
 
 
-def _bivariate_taylor(f: SymbolicFunction, order: int) -> Dict[Tuple[int, int], Fraction]:
-    """Exact coefficients c_(a,b) of f(e^{z1}, e^{z2}) = sum c_(a,b) z1^a z2^b,
-    a + b <= order, recovered from the rays z2 = lam * z1, lam = 1..order+1.
-
-    The z^d coefficient along the ray lam is p_d(lam) = sum_b c_(d-b,b) lam^b,
-    of degree <= d.  On the consecutive integer nodes its Newton divided
-    differences are forward differences Delta^k / k!: those of order > d must
-    vanish, which checks the rays beyond the first d+1, and the others give
-    p_d in Newton form, expanded to monomials in integers over the common
-    denominator of the ray values times d!.
-    """
-    rays = [_ray_taylor(f, (1, lam), order) for lam in range(1, order + 2)]
-    out: Dict[Tuple[int, int], Fraction] = {}
-    for d in range(order + 1):
-        vals = [ray[d] for ray in rays]
-        den = math.lcm(*(v.denominator for v in vals))
-        row = [v.numerator * (den // v.denominator) for v in vals]
-        diffs = []  # Delta^k of the scaled values at lam = 1
-        while row:
-            diffs.append(row[0])
-            row = [b - a for a, b in zip(row, row[1:])]
-        for k in range(d + 1, order + 1):
-            if diffs[k]:
-                raise ArithmeticError(
-                    f"ray interpolation inconsistent at degree {d}, ray {k + 1}"
-                )
-        # d! p_d(lam) = sum_k Delta^k (d!/k!) prod_(i<k) (lam - 1 - i), by Horner
-        poly, weight = [diffs[d]], 1
-        for k in range(d - 1, -1, -1):
-            weight *= k + 1
-            poly = [0] + poly
-            for i in range(len(poly) - 1):
-                poly[i] -= (k + 1) * poly[i + 1]
-            poly[0] += diffs[k] * weight
-        for b, c in enumerate(poly):
-            if c:
-                out[(d - b, b)] = Fraction(c, den * weight)
-    return out
-
-
 @lru_cache(maxsize=4)
-def _dim2_taylor(order: int) -> Tuple[Tuple[Fraction, ...], Tuple[Tuple[int, int, Fraction], ...]]:
-    """Taylor data of the derived dim-2 curvature pair: coefficients of
-    K(e^z) up to z^order and of G(e^{z1}, e^{z2}) up to total degree order."""
+def _dim2_taylor(order: int) -> Tuple[Fraction, Tuple[Fraction, ...]]:
+    """What the Gauss-Bonnet residual reads of the derived dim-2 curvature
+    pair: K(1), and the coefficients d_0 .. d_order of G(e^{-z}, e^z), G's
+    restriction to st = 1 at s = e^{-z}."""
     report = derive_curvature(2, "kdelta")
-    kcoeffs = tuple(_ray_taylor(report.K, (1, 0), order))
-    gdict = _bivariate_taylor(report.G, order)
-    gcoeffs = tuple(sorted((a, b, c) for (a, b), c in gdict.items()))
-    return kcoeffs, gcoeffs
+    [k1] = _ray_taylor(report.K, (1, 0), 0)
+    return k1, tuple(_ray_taylor(report.G.restriction("st"), (-1, 0), order))
 
 
 # --------------------------------------------------------------------------
@@ -541,7 +501,7 @@ def gauss_bonnet_residual(h: FourierElement, theta: SkewMatrix,
     if not hf.coeffs:
         return 0.0
 
-    kcoeffs, gcoeffs = _dim2_taylor(series_order)
+    k1, dcoeffs = _dim2_taylor(series_order)
 
     k, kinv, kinv2 = (_prune(e, support_cap)
                       for e in exp_element(hf, theta, series_order, factors=(1, -1, -2)))
@@ -549,14 +509,9 @@ def gauss_bonnet_residual(h: FourierElement, theta: SkewMatrix,
     ddk = derivation(dk[0], 1) + derivation(dk[1], 2)
 
     # one-variable channel: only K(1) survives the trace
-    total = float(kcoeffs[0]) * _pair_trace(kinv, ddk)
+    total = float(k1) * _pair_trace(kinv, ddk)
 
     # two-variable channel, summed over the flat directions: G on st = 1
-    dsums = [Fraction(0)] * (series_order + 1)
-    for a, b, c in gcoeffs:
-        if a + b <= series_order:
-            dsums[a + b] += -c if a % 2 else c
-    dcoeffs = [float(d) for d in dsums]
     for j in (0, 1):
         left = _prune(deformed_product(kinv2, dk[j], theta), support_cap)
         p_n = dk[j]
@@ -566,6 +521,6 @@ def gauss_bonnet_residual(h: FourierElement, theta: SkewMatrix,
                 p_n = _prune(commutator(p_n, hf, theta), support_cap)
                 if not p_n.coeffs:
                     break
-            total += d * _pair_trace(left, p_n)
+            total += float(d) * _pair_trace(left, p_n)
 
     return abs(total)

@@ -179,7 +179,7 @@ def _matrix(seed: int) -> Iterator[float]:
 
 # Fourier support cap of every Gauss-Bonnet residual computed here.  The
 # four modes (+-1, 0), (0, +-1) reach at most 330 modes up to the norm limit
-# |h|_1 = 0.2 (0.08-0.10 s for the three theta on a 2-core machine); wider
+# |h|_1 = 0.2 (about 0.025 s for the three theta on a 2-core machine); wider
 # exponents, such as the eight modes (+-1, 0), (0, +-1), (+-1, +-1) at that
 # limit (540 modes at theta = 0), exit 3 with a support-overflow message,
 # since every deformed product costs O(modes^2).

@@ -9,7 +9,10 @@ trace through two identities: kinv and kinv^2 commute with h, and ad_h is
 skew for the trace.  So only K(1) and G on st = 1 enter, with one product
 kinv^2 d_j k per direction; it takes k, kinv and kinv^2 from one chain of
 powers of h and each -ad_h from one commutator pass.  The two agree to
-rounding and the new one does a fraction of the work.
+rounding and the new one does a fraction of the work.  They share no Taylor
+data: the reference takes the full table from the Fraction pipeline of
+``test_taylor_reference``, the residual K(1) and G's restriction to st = 1,
+and a mutated table reaches the residual folded onto that curve.
 """
 
 import math
@@ -20,14 +23,15 @@ import pytest
 from artifact import numeric_oracle as oracle
 from artifact import theta_algebra
 from artifact.theta_algebra import FourierElement, SkewMatrix, derivation, exp_element
+from test_taylor_reference import fold_onto_the_curve, reference_dim2_taylor
 
 CAP = 1000
 
 
 def reference_residual(h: FourierElement, theta: SkewMatrix, series_order: int,
-                       support_cap: int = CAP) -> float:
+                       support_cap: int = CAP, taylor=reference_dim2_taylor) -> float:
     prune = oracle._prune
-    kcoeffs, gcoeffs = oracle._dim2_taylor(series_order)
+    kcoeffs, gcoeffs = taylor(series_order)
     k = prune(exp_element(h, theta, series_order), support_cap)
     kinv = prune(exp_element(h.scaled(-1.0), theta, series_order), support_cap)
     kinv2 = prune(exp_element(h.scaled(-2.0), theta, series_order), support_cap)
@@ -65,13 +69,19 @@ EXPONENTS = [(oracle.cos_mode, 0.05), (oracle.cos_mode, 0.1),
 IDS = [f"{make.__name__}-{amplitude}" for make, amplitude in EXPONENTS]
 
 
-def _assert_agree(make, amplitude, orders=(2, 3, 4)):
+def _use_table(monkeypatch, taylor):
+    """Feed the residual the table taylor(order) gives, folded onto st = 1."""
+    monkeypatch.setattr(oracle, "_dim2_taylor",
+                        lambda order: fold_onto_the_curve(*taylor(order), order))
+
+
+def _assert_agree(make, amplitude, orders=(2, 3, 4), taylor=reference_dim2_taylor):
     h = make(amplitude)
     for _, theta in oracle.GB_THETAS:
         skew = SkewMatrix.standard_2d(theta)
         for order in orders:
             got = oracle.gauss_bonnet_residual(h, skew, series_order=order, support_cap=CAP)
-            want = reference_residual(h, skew, order)
+            want = reference_residual(h, skew, order, taylor=taylor)
             assert abs(got - want) <= 1e-15, (theta, order, got, want)
 
 
@@ -97,14 +107,12 @@ def test_residual_matches_the_loop_with_the_two_variable_channel_negated(
         monkeypatch, make, amplitude):
     # with c_ab negated the residual is of order one, so a row mixed up with
     # another or a misplaced factor shows far above rounding
-    original = oracle._dim2_taylor
-
     def negated(order):
-        kcoeffs, gcoeffs = original(order)
+        kcoeffs, gcoeffs = reference_dim2_taylor(order)
         return kcoeffs, tuple((a, b, -c) for a, b, c in gcoeffs)
 
-    monkeypatch.setattr(oracle, "_dim2_taylor", negated)
-    _assert_agree(make, amplitude)
+    _use_table(monkeypatch, negated)
+    _assert_agree(make, amplitude, taylor=negated)
 
 
 def _g_plus_curve_multiple(kcoeffs, gcoeffs, order):
@@ -141,12 +149,14 @@ def test_the_trace_sees_K_only_at_1_and_G_only_on_st_1(monkeypatch, mutate, seen
     h = oracle.cross_mode(0.025)
     skews = [SkewMatrix.standard_2d(theta) for theta in (1.0 / 3.0, 1.0 / math.sqrt(2.0))]
     clean = [reference_residual(h, skew, 6) for skew in skews]
-    original = oracle._dim2_taylor
-    monkeypatch.setattr(oracle, "_dim2_taylor",
-                        lambda order: mutate(*original(order), order))
+
+    def mutated(order):
+        return mutate(*reference_dim2_taylor(order), order)
+
+    _use_table(monkeypatch, mutated)
     for skew, base in zip(skews, clean):
         got = oracle.gauss_bonnet_residual(h, skew, series_order=6, support_cap=CAP)
-        want = reference_residual(h, skew, 6)
+        want = reference_residual(h, skew, 6, taylor=mutated)
         for value in (got, want):
             if seen:
                 assert value > 1e-6, (skew, value)
@@ -190,7 +200,7 @@ def test_one_product_per_direction(monkeypatch):
     reference_residual(h, theta, 6)
     # three exponentials, and the ad-powers of dd k, d_1 k and d_2 k as two
     # products each, and the 28 coefficients c_ab with a + b <= 6 per direction
-    _, gcoeffs = oracle._dim2_taylor(6)
+    _, gcoeffs = reference_dim2_taylor(6)
     assert sum(1 for a, b, _ in gcoeffs if a + b <= 6) == 28
     assert _kinds(calls) == {"power": 3 * 6, "product": 3 * 2 * 6 + 2 * 28,
                              "commutator": 0}

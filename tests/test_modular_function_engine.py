@@ -188,6 +188,32 @@ def test_integrate_dim_m_requires_even_dimension():
         integrate_dim_m(sig, 0)
 
 
+@pytest.mark.parametrize("m", [4.0, "4", None], ids=["float", "str", "none"])
+def test_a_non_integer_dimension_is_a_usage_error(m):
+    # read by operator.index, as the family exponents are: 4.0 used to reach
+    # comb() as a TypeError and sphere_average as a plain ValueError
+    with pytest.raises(UsageError, match=re.escape(
+            f"the radial families need even m >= 2, got {m!r}")):
+        radial_integral((2, 1), m)
+    with pytest.raises(UsageError, match=re.escape(
+            f"dimension must be an even integer >= 2, got {m!r}")):
+        derive_curvature(m, "kdelta")
+
+
+def test_an_integer_like_dimension_is_read_as_an_int():
+    report = derive_curvature(np.int64(2), "kdelta")
+    assert type(report.dim) is int and report == derive_curvature(2, "kdelta")
+    assert radial_integral((2, 1), np.int64(4)) == radial_integral((2, 1), 4)
+
+
+@pytest.mark.parametrize("curve", ["x", "S", None, ""])
+def test_restriction_names_its_three_curves(curve):
+    f = derive_curvature(2, "kdelta").G
+    with pytest.raises(ValueError, match=re.escape(
+            f"curve must be 's', 't' or 'st', got {curve!r}")):
+        f.restriction(curve)
+
+
 def test_scalar_limit_ladder():
     # F(1) = (m/2)!/4: phi_m is convex, so the ladder is positive at every even m
     expected = {2: 0.25, 4: 0.5, 6: 1.5, 8: 6.0}

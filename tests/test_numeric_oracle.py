@@ -35,6 +35,7 @@ from artifact.numeric_oracle import (
     quad_r_integral,
 )
 from artifact.theta_algebra import FourierElement, SelfAdjointnessError, SkewMatrix
+from test_taylor_reference import fold_onto_the_curve, reference_dim2_taylor
 
 THETA_IRRATIONAL = math.sqrt(2.0) - 1.0
 
@@ -128,7 +129,7 @@ def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(max_depth=0)
     # a NaN tolerance would let an unconverged value through
-    for tol in (math.nan, math.inf, -1e-12, "1e-12"):
+    for tol in (math.nan, math.inf, -1e-12, "1e-12", True):
         with pytest.raises(ValueError, match=re.escape(f"abs_tol must be a finite number > 0, got {tol!r}")):
             QuadratureSpec(abs_tol=tol)
     for depth in (2.5, True, 8.0, "8", 0):
@@ -347,8 +348,12 @@ def test_matrix_rearrangement_takes_the_curve_route_on_st_1(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def _k_series(order):
+    return oracle._ray_taylor(derive_curvature(2, "kdelta").K, (1, 0), order)
+
+
 def test_one_variable_taylor_coefficients():
-    kcoeffs, _ = oracle._dim2_taylor(8)
+    kcoeffs = _k_series(8)
     expected = [
         Fraction(1, 12),
         Fraction(-1, 12),
@@ -358,39 +363,40 @@ def test_one_variable_taylor_coefficients():
         Fraction(1, 5040),
     ]
     assert list(kcoeffs[: len(expected)]) == expected
+    assert oracle._dim2_taylor(8)[0] == expected[0]
 
 
 def test_two_variable_taylor_constant_term():
-    _, gcoeffs = oracle._dim2_taylor(8)
-    table = {(a, b): c for a, b, c in gcoeffs}
-    assert table[(0, 0)] == Fraction(-1, 12)
+    _, dcoeffs = oracle._dim2_taylor(8)
+    assert dcoeffs[0] == Fraction(-1, 12)
 
 
-def _taylor_error(kcoeffs, gcoeffs):
+def _taylor_error(kcoeffs, dcoeffs):
     """Max relative distance of the truncated sums sum c_n z^n and
-    sum c_ab z1^a z2^b from eval_function(K, e^z) and eval_function(G, e^{z1},
-    e^{z2}) at seeded points with |z1|, |z2| <= 0.05: no series code used."""
+    sum d_n z^n from eval_function(K, e^z) and eval_function(G, e^{-z}, e^z)
+    at seeded points with |z| <= 0.05: no series code used.  e^{-z} and e^z
+    are never exact reciprocals here, so G is evaluated by its limit along a
+    ray, not through its restriction to st = 1."""
     report = derive_curvature(2, "kdelta")
     rng = np.random.default_rng(8)
     worst = 0.0
     for z1, z2 in rng.uniform(-0.05, 0.05, size=(6, 2)):
         k_sum = sum(float(c) * z1 ** n for n, c in enumerate(kcoeffs))
-        g_sum = sum(float(c) * z1 ** a * z2 ** b for a, b, c in gcoeffs)
+        g_sum = sum(float(d) * z2 ** n for n, d in enumerate(dcoeffs))
         k_val = eval_function(report.K, math.exp(z1))
-        g_val = eval_function(report.G, math.exp(z1), math.exp(z2))
+        g_val = eval_function(report.G, math.exp(-z2), math.exp(z2))
         worst = max(worst, abs(k_sum - k_val) / abs(k_val), abs(g_sum - g_val) / abs(g_val))
     return worst
 
 
 def test_taylor_data_sums_to_the_closed_forms_near_zero():
-    assert _taylor_error(*oracle._dim2_taylor(8)) < 1e-13
+    assert _taylor_error(_k_series(8), oracle._dim2_taylor(8)[1]) < 1e-13
 
 
 def test_taylor_sum_check_sees_a_moved_coefficient():
-    kcoeffs, gcoeffs = oracle._dim2_taylor(8)
-    moved = tuple((a, b, c + Fraction(1, 10**6) if (a, b) == (1, 1) else c)
-                  for a, b, c in gcoeffs)
-    assert _taylor_error(kcoeffs, moved) > 1e-13
+    _, dcoeffs = oracle._dim2_taylor(8)
+    moved = (dcoeffs[0], dcoeffs[1] + Fraction(1, 10**6)) + dcoeffs[2:]
+    assert _taylor_error(_k_series(8), moved) > 1e-13
 
 
 _SIMPLE_POLE = SymbolicFunction(
@@ -407,21 +413,6 @@ def test_ray_taylor_rejects_a_denominator_vanishing_on_the_ray():
     # s - 1 is identically zero along s = e^(0 z)
     with pytest.raises(ZeroDivisionError, match="series division by zero"):
         oracle._ray_taylor(_SIMPLE_POLE, (0, 1), 4)
-
-
-def test_bivariate_taylor_rejects_an_inconsistent_ray(monkeypatch):
-    original = oracle._ray_taylor
-
-    def perturbed(f, ray, order):
-        out = original(f, ray, order)
-        if ray == (1, 5):
-            out[2] += Fraction(1, 10**9)
-        return out
-
-    monkeypatch.setattr(oracle, "_ray_taylor", perturbed)
-    with pytest.raises(ArithmeticError,
-                       match="ray interpolation inconsistent at degree 2, ray 5"):
-        oracle._bivariate_taylor(derive_curvature(2, "kdelta").G, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -487,16 +478,52 @@ def test_gauss_bonnet_support_cap_overflow():
 def test_gauss_bonnet_rejects_negated_two_variable_channel(monkeypatch):
     # flipping the sign of the two-variable channel must break the identity:
     # this is the numeric adjudication of the curvature-gradient sign
-    original = oracle._dim2_taylor
-
     def flipped(order):
-        kcoeffs, gcoeffs = original(order)
-        return kcoeffs, tuple((a, b, -c) for a, b, c in gcoeffs)
+        kcoeffs, gcoeffs = reference_dim2_taylor(order)
+        return fold_onto_the_curve(kcoeffs, tuple((a, b, -c) for a, b, c in gcoeffs), order)
 
     monkeypatch.setattr(oracle, "_dim2_taylor", flipped)
     h = line_mode_exponent(0.05)
     residual = gauss_bonnet_residual(h, SkewMatrix.standard_2d(THETA_IRRATIONAL))
     assert residual > 1e-4
+
+
+@pytest.fixture
+def fresh_taylor_data():
+    # _dim2_taylor is cached per order: a mutated restriction must be read
+    # afresh, and what it gave must not outlive the test
+    oracle._dim2_taylor.cache_clear()
+    yield
+    oracle._dim2_taylor.cache_clear()
+
+
+# oracle-verify's cross mode at order 6, and the line mode of `verify` and
+# the `gauss-bonnet` command at the default order 8
+_GB_RUNS = [(cross_mode_exponent, 0.025, 6), (line_mode_exponent, 0.05, 8)]
+
+
+@pytest.mark.parametrize("make, amplitude, order", _GB_RUNS,
+                         ids=["cross-0.025-order-6", "line-0.05-order-8"])
+def test_gauss_bonnet_sees_a_curve_restriction_without_its_log_series(
+        monkeypatch, fresh_taylor_data, make, amplitude, order):
+    # the residual reads G on st = 1 through restriction("st"); without the
+    # log terms of L'Hopital's rule the restriction keeps a double pole
+    _mutate_on(monkeypatch, _drop_log_series, ("st",))
+    with pytest.raises(ArithmeticError,
+                       match=re.escape("ray series has a genuine pole at z = 0 (power -2)")):
+        gauss_bonnet_residual(make(amplitude), SkewMatrix.standard_2d(1.0 / 3.0),
+                              series_order=order, support_cap=500)
+
+
+@pytest.mark.parametrize("theta", [theta for _, theta in oracle.GB_THETAS],
+                         ids=[name for name, _ in oracle.GB_THETAS])
+def test_gauss_bonnet_sees_a_curve_restriction_one_factorial_short(
+        monkeypatch, fresh_taylor_data, theta):
+    _mutate_on(monkeypatch, _one_factorial_short, ("st",))
+    for make, amplitude, order in _GB_RUNS:
+        residual = gauss_bonnet_residual(make(amplitude), SkewMatrix.standard_2d(theta),
+                                         series_order=order, support_cap=500)
+        assert residual > 1e-6, (make.__name__, theta, residual)
 
 
 def test_gauss_bonnet_norm_precondition():
