@@ -65,7 +65,7 @@ def _parse_range(text: str, flag: str) -> List[float]:
         raise click.UsageError(f"{flag} needs n >= 1 and positive endpoints")
     if n == 1:
         return [a]
-    return [a + (b - a) * i / (n - 1) for i in range(n)]
+    return [a + (b - a) * i / (n - 1) for i in range(n - 1)] + [b]
 
 
 def _emit(payload: str, out: Optional[str]) -> None:

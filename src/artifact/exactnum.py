@@ -47,12 +47,6 @@ class GaussianRational:
             return NotImplemented
         return GaussianRational(self.re - other.re, self.im - other.im)
 
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -66,18 +60,6 @@ class GaussianRational:
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
@@ -100,16 +82,6 @@ class GaussianRational:
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
-
-    def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i" if self.im not in (1, -1) else ("i" if self.im == 1 else "-i")
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
-        istr = "i" if mag == 1 else f"{mag}i"
-        return f"{self.re}{sign}{istr}"
 
 
 def _coerce(x):

@@ -78,7 +78,6 @@ __all__ = [
     "integrate_dim_m",
     "radial_integral",
     "family_exponents",
-    "scalar_profile",
     "operator_symbols",
     "derive_curvature",
     "eval_function",
@@ -638,16 +637,29 @@ def _divided_difference(mults: Tuple[int, int, int], m: int) -> Tuple[RationalFu
     )
 
 
-def family_exponents(exponents: Sequence[int]) -> Tuple[int, ...]:
-    """The block exponents as Python ints, read by operator.index so numpy
-    integers pass; any other value (2.5, 2.0, "2") is a SignatureError."""
+def family_exponents(exponents: Sequence[int],
+                     sizes: Tuple[int, ...] = (1, 2, 3)) -> Tuple[int, ...]:
+    """The block exponents of a radial family as Python ints, read by
+    operator.index so numpy integers pass.  Any other value (2.5, 2.0, "2",
+    True), a count outside sizes or a negative entry is a SignatureError;
+    exponents summing below 2 are a DivergentIntegralError."""
     out = []
     for e in exponents:
         try:
+            if isinstance(e, bool):
+                raise TypeError
             out.append(operator.index(e))
         except TypeError:
             raise SignatureError(f"family exponents must be integers, got {e!r}") from None
-    return tuple(out)
+    exps = tuple(out)
+    if len(exps) not in sizes:
+        counts = ", ".join(map(str, sizes[:-1])) + f" or {sizes[-1]}"
+        raise SignatureError(f"family exponents must have {counts} entries, got {exps}")
+    if min(exps) < 0:
+        raise SignatureError("unsupported signature: negative block exponent")
+    if sum(exps) < 2:
+        raise DivergentIntegralError(f"divergent integral: family exponents {exps} sum below 2")
+    return exps
 
 
 def _even_dimension(m: int, message: str) -> int:
@@ -672,14 +684,7 @@ def radial_integral(exponents: Sequence[int], m: int) -> SymbolicFunction:
     """
     m = _even_dimension(m, "the radial families need even m >= 2")
     exponents = family_exponents(exponents)
-    if len(exponents) not in (1, 2, 3):
-        raise SignatureError("family exponents must have 1, 2, or 3 entries")
-    if min(exponents) < 0:
-        raise SignatureError("unsupported signature: negative block exponent")
-    total = sum(exponents)
-    if total < 2:
-        raise DivergentIntegralError("divergent integral: block exponents sum below 2")
-    sign = (-1) ** (total - 1)
+    sign = (-1) ** (sum(exponents) - 1)
     value = _divided_difference(exponents + (0,) * (3 - len(exponents)), m)
     return SymbolicFunction({tag: sign * v for tag, v in zip(_BASIS, value)})
 
@@ -696,13 +701,6 @@ def integrate_dim2(sig: TermSignature) -> SymbolicFunction:
     # perfbench/spans.py (LAYERS) wraps this name; `--trace 1` raises
     # AttributeError without it
     return integrate_dim_m(sig, 2)
-
-
-def scalar_profile(m: int) -> SymbolicFunction:
-    """The scalar-channel profile F(s) = (1/2) * [K_(2,1) family](s):
-    the modular function multiplying the scalar atom before the 2/(3m)
-    weight.  F(1) = (m/2)!/4 for every even m."""
-    return radial_integral((2, 1), m).scaled(Fraction(1, 2))
 
 
 # --------------------------------------------------------------------------
@@ -756,9 +754,6 @@ class CurvatureReport:
     c_scalar: Fraction
     k_powers: Tuple[Tuple[str, int], ...]
     normalization: Tuple[Tuple[str, str], ...]
-
-    def k_power(self, channel: str) -> int:
-        return dict(self.k_powers)[channel]
 
     @property
     def notes(self) -> Tuple[str, ...]:

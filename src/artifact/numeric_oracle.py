@@ -52,9 +52,7 @@ from .theta_algebra import (
     is_self_adjoint,
 )
 from .modular_function_engine import (
-    DivergentIntegralError,
     PolyTerms,
-    SignatureError,
     SymbolicFunction,
     UsageError,
     derive_curvature,
@@ -233,21 +231,11 @@ def quad_r_integral(exponents: Sequence[int], s: float, t: float = 1.0,
     H_(p,q,l)(s,t,r) dr within spec.abs_tol, at the family's own radial
     power p+q[+l]-2."""
     spec = spec or QuadratureSpec()
-    exps = family_exponents(exponents)
-    if len(exps) not in (2, 3):
-        raise ValueError("family must be K(p, q) or H(p, q, l)")
+    exps = family_exponents(exponents, (2, 3))
     if not (0 < s < math.inf and 0 < t < math.inf):
         raise UsageError("quad_r_integral requires 0 < s < inf and 0 < t < inf")
-    if min(exps) < 0:
-        raise SignatureError("unsupported signature: negative block exponent")
-    total = sum(exps)
-    w = total - 2
-    if total < 2:
-        raise DivergentIntegralError(
-            f"divergent integral: family exponents {exps} with radial power {w}"
-        )
     scales = np.array([(1.0, s, s * t)[: len(exps)]])
-    return float(_quad_raw(scales, exps, w, spec)[0])
+    return float(_quad_raw(scales, exps, sum(exps) - 2, spec)[0])
 
 
 # --------------------------------------------------------------------------
@@ -275,9 +263,7 @@ def matrix_rearrangement_check(dim: int, seed: int, exponents: Sequence[int],
     """
     if not 1 <= dim <= 12:
         raise ValueError("dim must be between 1 and 12 (dense spectral scale)")
-    exps = family_exponents(exponents)
-    if len(exps) not in (2, 3):
-        raise ValueError("family must be K(p, q) or H(p, q, l)")
+    exps = family_exponents(exponents, (2, 3))
     if s_shift and len(exps) != 3:
         raise ValueError("the s-shift variant applies to H families")
     spec = spec or QuadratureSpec()

@@ -29,7 +29,6 @@ other; nothing else commutes.
 from __future__ import annotations
 
 import itertools
-import re
 import string
 from dataclasses import dataclass
 from fractions import Fraction
@@ -199,7 +198,7 @@ class NCExpression:
         return hash(canonicalize(self).terms)
 
     def __repr__(self):
-        return f"NCExpression({render_expression(self)!r})"
+        return f"NCExpression({self.terms!r})"
 
 
 # --------------------------------------------------------------------------
@@ -304,16 +303,9 @@ def _canonical_word(term: NCMonomial) -> Tuple[Atom, ...]:
             groups[-1].append(idx)
         else:
             groups.append([idx])
-    candidates = []
-    pools = [list(itertools.permutations(g)) if len(g) > 1 and atom_rank(centrals[g[0]].kind) > 0 else [tuple(g)] for g in groups]
-    total = 1
-    for p in pools:
-        total *= len(p)
-    if total > 24:  # never happens on the derivation corpus; stay safe anyway
-        pools = [[tuple(g)] for g in groups]
-    for combo in itertools.product(*pools):
-        seq = [centrals[i] for grp in combo for i in grp]
-        candidates.append(_canonical_labels(list(nc) + seq))
+    pools = [itertools.permutations(g) if len(g) > 1 and atom_rank(centrals[g[0]].kind) > 0 else [tuple(g)] for g in groups]
+    candidates = (_canonical_labels(nc + [centrals[i] for grp in combo for i in grp])
+                  for combo in itertools.product(*pools))
     return min(candidates, key=_word_sortkey)
 
 
@@ -562,103 +554,3 @@ def nc4tori_lower_symbols() -> Dict[str, NCExpression]:
 
 def homogeneity_degrees(e: NCExpression) -> set:
     return {t.homogeneity() for t in canonicalize(e).terms}
-
-
-# --------------------------------------------------------------------------
-# text grammar:  terms joined by " + ";  term = coeff * atom[slots] * ...
-# powers of slot-free atoms render as name^p
-
-
-_ATOM_RE = re.compile(r"^(?P<name>[A-Za-z]\w*?)(?:\^(?P<pow>\d+))?(?:\[(?P<slots>[^\]]*)\])?$")
-
-
-def _render_coeff(c: GaussianRational) -> str:
-    if c.im == 0:
-        return str(c.re)
-    if c.re == 0:
-        if c.im == 1:
-            return "i"
-        if c.im == -1:
-            return "-i"
-        return f"{c.im}*i"
-    # mixed coefficients render without spaces so they survive the " + "
-    # term separator and the " * " factor separator
-    im = c.im
-    sign = "+" if im > 0 else "-"
-    mag = abs(im)
-    ipart = "i" if mag == 1 else f"{mag}*i"
-    return f"({c.re}{sign}{ipart})"
-
-
-def _parse_coeff(tok: str) -> GaussianRational:
-    tok = tok.strip()
-    if tok in ("i", "+i"):
-        return GaussianRational(0, 1)
-    if tok == "-i":
-        return GaussianRational(0, -1)
-    if tok.startswith("(") and tok.endswith(")"):
-        m = re.match(
-            r"^\(\s*([+-]?\d+(?:/\d+)?)\s*([+-])\s*(?:(\d+(?:/\d+)?)\s*\*?\s*)?i\s*\)$", tok
-        )
-        if not m:
-            raise ValueError(f"cannot parse coefficient {tok!r}")
-        re_part = Fraction(m.group(1))
-        im_mag = Fraction(m.group(3)) if m.group(3) else Fraction(1)
-        return GaussianRational(re_part, im_mag if m.group(2) == "+" else -im_mag)
-    if tok.endswith("i"):
-        body = tok[:-1].rstrip("*").strip()
-        if body in ("", "+"):
-            return GaussianRational(0, 1)
-        if body == "-":
-            return GaussianRational(0, -1)
-        return GaussianRational(0, Fraction(body))
-    return GaussianRational(Fraction(tok))
-
-
-def render_expression(e: NCExpression) -> str:
-    e = canonicalize(e)
-    if not e.terms:
-        return "0"
-    parts = []
-    for t in e.terms:
-        pieces = [_render_coeff(t.coeff)]
-        i = 0
-        word = t.word
-        while i < len(word):
-            a = word[i]
-            if not a.slots:
-                j = i
-                while j < len(word) and word[j] == a:
-                    j += 1
-                count = j - i
-                pieces.append(a.kind if count == 1 else f"{a.kind}^{count}")
-                i = j
-            else:
-                pieces.append(f"{a.kind}[{','.join(a.slots)}]")
-                i += 1
-        parts.append(" * ".join(pieces))
-    return " + ".join(parts)
-
-
-def parse_expression(text: str) -> NCExpression:
-    text = text.strip()
-    if text == "0" or not text:
-        return NCExpression.zero()
-    terms = []
-    for raw_term in text.split(" + "):
-        tokens = [tok.strip() for tok in raw_term.split(" * ")]
-        coeff = _parse_coeff(tokens[0])
-        atoms: List[Atom] = []
-        for tok in tokens[1:]:
-            m = _ATOM_RE.match(tok)
-            if not m:
-                raise ValueError(f"cannot parse atom token {tok!r}")
-            name = m.group("name")
-            power = int(m.group("pow") or 1)
-            slots = tuple(s.strip() for s in m.group("slots").split(",")) if m.group("slots") else ()
-            if slots and power != 1:
-                raise ValueError("slotted atoms cannot carry powers")
-            for _ in range(power):
-                atoms.append(Atom(name, slots))
-        terms.append(NCMonomial(coeff, tuple(atoms)))
-    return NCExpression(terms)

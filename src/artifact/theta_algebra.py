@@ -374,8 +374,11 @@ def exp_element(h: FourierElement, theta: SkewMatrix, order: int,
     ...), scaling by c^m is exact in float mode, so c^m P_m is bit for bit
     the m-th term of exp_element(c h), barring underflow.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
+        raise ValueError(f"order must be an int >= 1, got {order!r}")
+    if factors is not None and any(isinstance(c, bool) or not isinstance(c, int)
+                                   for c in factors):
+        raise ValueError(f"factors must be integers, got {factors!r}")
     if not is_self_adjoint(h, tol=1e-12 if h.mode == "float" else 0.0):
         raise SelfAdjointnessError("exponent must be self-adjoint")
     scales = (1,) if factors is None else factors
@@ -389,20 +392,7 @@ def exp_element(h: FourierElement, theta: SkewMatrix, order: int,
     return accs[0] if factors is None else tuple(accs)
 
 
-# -- text fixtures ----------------------------------------------------------
-
-def format_element(a: FourierElement) -> str:
-    """Line format `r1,...,rn : re,im`, sorted by multi-index."""
-    lines = []
-    for idx in sorted(a.coeffs):
-        c = a.coeffs[idx]
-        if a.mode == "exact":
-            re, im = str(c.re), str(c.im)
-        else:
-            re, im = repr(c.real), repr(c.imag)
-        lines.append(f"{','.join(str(x) for x in idx)} : {re},{im}")
-    return "\n".join(lines)
-
+# -- text input ------------------------------------------------------------
 
 def _float_literal(text: str) -> float:
     """float(text), refusing a non-finite value and a nonzero literal that
@@ -416,8 +406,9 @@ def _float_literal(text: str) -> float:
 
 
 def parse_element(text: str, n: int, mode: str = "exact") -> FourierElement:
-    """format_element's line format; a malformed line, or one repeating an
-    earlier line's multi-index, raises ValueError."""
+    """One mode per line, `r1,...,rn : re,im`; blank and `#` lines are
+    skipped.  A malformed line, or one repeating an earlier line's
+    multi-index, raises ValueError."""
     coeffs: Dict[Index, Coeff] = {}
     first_line: Dict[Index, int] = {}
     for number, raw in enumerate(text.splitlines(), 1):

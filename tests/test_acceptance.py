@@ -26,19 +26,18 @@ from artifact.modular_function_engine import (
     derive_curvature,
     dim2_quadrature_decomposition,
     eval_function,
-    scalar_profile,
+    radial_integral,
 )
 from artifact.symbol_engine import (
     NCExpression,
     canonicalize,
     homogeneity_degrees,
     nc4tori_lower_symbols,
-    parse_expression,
-    render_expression,
     resolvent_b,
     standard_p2,
 )
 from artifact.theta_algebra import FourierElement, SkewMatrix
+from word_forms import parse_expression, render_expression
 
 S, T = sp.symbols("s t", positive=True)
 
@@ -230,7 +229,7 @@ def test_criterion_05():
     # a_2 = (4 pi)^(-m/2) (R/6) sqrt(g) needs +R/6 (test_commutative_limit.py)
     results = {}
     for m in (4, 6, 8):
-        got = eval_function(scalar_profile(m), 1.0)
+        got = eval_function(radial_integral((2, 1), m).scaled(Fraction(1, 2)), 1.0)
         exact = Fraction(math.factorial(m // 2), 4)
         want = float(exact)
         report = derive_curvature(m, "kdelta")

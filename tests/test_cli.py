@@ -20,7 +20,8 @@ from click.testing import CliRunner
 from artifact import cli
 from artifact import verify as checks
 from artifact.modular_function_engine import UsageError
-from artifact.theta_algebra import FourierElement, format_element
+from artifact.theta_algebra import FourierElement
+from word_forms import format_element
 
 CHECK_LINE = re.compile(
     r"^CHECK [A-Za-z0-9_.-]+ \d\.\d{3}e[+-]\d{2,3} \d\.\d{3}e[+-]\d{2,3} (PASS|FAIL)$"
@@ -220,6 +221,21 @@ def test_table_two_variable_grid(runner):
         assert row[2] == ""
         float(row[1])
         float(row[3])
+
+
+def test_table_range_ends_on_its_own_endpoint(runner):
+    # a + (b - a)*9/9 is 0.9999999999999999 for 0.1:1:10, which took K's
+    # 90-digit limit instead of the exact K(1) = 1/12
+    result = runner.invoke(cli.main, ["table", "--which", "K", "--s-range", "0.1:1:10"])
+    assert result.exit_code == 0
+    rows = list(csv.reader(io.StringIO(result.output)))
+    assert rows[-1] == ["1.0", "", "0.08333333333333333", ""]
+    assert [float(r[0]) for r in rows[1:-1]] == [0.1 + 0.9 * i / 9 for i in range(9)]
+    result = runner.invoke(cli.main, ["table", "--which", "G", "--s-range", "0.1:1:10",
+                                      "--t-range", "0.1:1:10"])
+    assert result.exit_code == 0
+    assert list(csv.reader(io.StringIO(result.output)))[-1] == [
+        "1.0", "1.0", "", "-0.08333333333333333"]
 
 
 def test_table_two_variable_requires_t_range(runner):

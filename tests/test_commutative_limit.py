@@ -145,8 +145,8 @@ def value_at_one(fn):
 
 def engine_density(report, K1, G1, k, lap, grad2):
     return measure_over_gilkey(report) * (
-        K1 * k ** report.k_power("hess") * lap
-        + G1 * k ** report.k_power("gradgrad") * grad2
+        K1 * k ** dict(report.k_powers)["hess"] * lap
+        + G1 * k ** dict(report.k_powers)["gradgrad"] * grad2
     )
 
 
@@ -165,7 +165,7 @@ def gilkey_scalar_coefficient(report):
     A = [k * (m - 2) * sp.exp(-2 * f) * sp.diff(f, x) for x in xs]
     density = gilkey_a2(k * h_inv, A, 0, xs)
     ratio = sp.simplify(
-        density / (k ** report.k_power("scalar") * R_h * sp.exp(m * f))
+        density / (k ** dict(report.k_powers)["scalar"] * R_h * sp.exp(m * f))
     )
     assert not ratio.free_symbols, ratio
     value = sp.Rational(ratio / measure_over_gilkey(report))

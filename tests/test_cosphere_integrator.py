@@ -10,8 +10,6 @@ from artifact.symbol_engine import (
     NCExpression,
     canonicalize,
     nc4tori_lower_symbols,
-    parse_expression,
-    render_expression,
     resolvent_b,
     standard_p2,
 )
@@ -21,6 +19,7 @@ from artifact.cosphere_integrator import (
     pinned_rule_constants,
     sphere_average,
 )
+from word_forms import parse_expression, render_expression
 
 # engine output for the averaged dim-2 resolvent tail, frozen after the
 # constants were re-derived from the Gaussian moment primitive

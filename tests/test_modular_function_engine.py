@@ -14,7 +14,6 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from artifact.exactnum import RationalFunction
-from artifact.symbol_engine import parse_expression
 from artifact.modular_function_engine import (
     DivergentIntegralError,
     SignatureError,
@@ -27,10 +26,10 @@ from artifact.modular_function_engine import (
     integrate_dim2,
     integrate_dim_m,
     radial_integral,
-    scalar_profile,
 )
 from artifact.numeric_oracle import quad_r_integral
 from sympy_forms import from_sympy, from_sympy_part
+from word_forms import parse_expression
 
 S, T = sp.symbols("s t", positive=True)
 
@@ -218,7 +217,7 @@ def test_scalar_limit_ladder():
     # F(1) = (m/2)!/4: phi_m is convex, so the ladder is positive at every even m
     expected = {2: 0.25, 4: 0.5, 6: 1.5, 8: 6.0}
     for m, want in expected.items():
-        f = scalar_profile(m)
+        f = radial_integral((2, 1), m).scaled(Fraction(1, 2))
         assert abs(eval_function(f, 1.0) - want) < 1e-10
 
 

@@ -170,6 +170,27 @@ def test_family_exponents_must_be_integers(call, bad):
         call((bad, 1))
 
 
+@pytest.mark.parametrize("call, sizes", zip(EXPONENT_READERS, ["1, 2 or 3", "2 or 3", "2 or 3"]),
+                         ids=EXPONENT_READER_IDS)
+@pytest.mark.parametrize("bad", [(2, True), (2,), (1, 1, 1, 1), (-1, 3), (1, 0)], ids=repr)
+def test_one_check_of_a_radial_family(call, sizes, bad):
+    # a bool was read as 1, and a wrong entry count was a SignatureError in
+    # radial_integral but a ValueError with another message in the oracles
+    if bad == (2,) and sizes == "1, 2 or 3":
+        assert call(bad) == radial_integral((2, 0), 2)
+        return
+    error, message = {
+        (2, True): (SignatureError, "family exponents must be integers, got True"),
+        (2,): (SignatureError, f"family exponents must have {sizes} entries, got (2,)"),
+        (1, 1, 1, 1): (SignatureError,
+                       f"family exponents must have {sizes} entries, got (1, 1, 1, 1)"),
+        (-1, 3): (SignatureError, "unsupported signature: negative block exponent"),
+        (1, 0): (DivergentIntegralError, "divergent integral: family exponents (1, 0) sum below 2"),
+    }[bad]
+    with pytest.raises(error, match=re.escape(message)):
+        call(bad)
+
+
 @pytest.mark.parametrize("call", EXPONENT_READERS, ids=EXPONENT_READER_IDS)
 def test_numpy_integer_exponents_are_read_as_ints(call):
     assert call((np.int64(2), np.int32(1))) == call((2, 1))

@@ -23,11 +23,10 @@ from artifact.symbol_engine import (
     canonicalize,
     homogeneity_degrees,
     nc4tori_lower_symbols,
-    parse_expression,
-    render_expression,
     resolvent_b,
     standard_p2,
 )
+from word_forms import parse_expression, render_expression
 
 KDELTA = {"p2": standard_p2()}
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -21,12 +22,12 @@ from artifact.theta_algebra import (
     deformed_product,
     derivation,
     exp_element,
-    format_element,
     is_self_adjoint,
     parse_element,
     star,
     trace,
 )
+from word_forms import format_element
 
 J_HALF = SkewMatrix.standard_2d(Fraction(1, 2))
 J_ZERO = SkewMatrix.zero(2)
@@ -252,6 +253,24 @@ def test_exp_times_exp_of_negative_is_unit_within_tail():
     resid = deformed_product(k, kinv, th) - FourierElement.unit(2, "float")
     tail = h.l1_norm() ** (order + 1) / math.factorial(order + 1)
     assert resid.l1_norm() <= 10 * max(tail, 1e-15)
+
+
+@pytest.mark.parametrize("order", [0, -1, True, 2.0, "2", None], ids=repr)
+def test_exp_order_must_be_an_int_of_at_least_one(order):
+    # True ran order 1 and 2.0 died with a TypeError inside range()
+    h = FourierElement(2, {(1, 0): 0.05 + 0j, (-1, 0): 0.05 + 0j}, mode="float")
+    with pytest.raises(ValueError, match=re.escape(f"order must be an int >= 1, got {order!r}")):
+        exp_element(h, J_HALF, order)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("factors", [(0.5,), (1, -1.0), (True,), (1, "2")], ids=repr)
+def test_exp_factors_must_be_integers(mode, factors):
+    # (0.5,) ran in float mode but failed deep inside the exact product
+    one = GaussianRational(1) if mode == "exact" else 1 + 0j
+    h = FourierElement(2, {(1, 0): one, (-1, 0): one}, mode=mode)
+    with pytest.raises(ValueError, match=re.escape(f"factors must be integers, got {factors!r}")):
+        exp_element(h, J_HALF, 3, factors=factors)
 
 
 def test_exp_rejects_non_self_adjoint():
