@@ -3,23 +3,27 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 pipeline error (reported with the failing stage's name).  The engine checks
 its own arguments (dimension, operator, s, t, the exponent h); its UsageError
-exits 2.
+exits 2, as do argparse's own errors.  A reader that closes stdout early
+(`artifact verify | head -1`) ends the command quietly with 1.
 
-The checks behind `verify` and `gauss-bonnet` live in ``artifact.verify``;
-those two commands import it (and with it numpy and the oracles) when they
-run, so `derive`, `eval` and `table` load only the derivation engine; `eval`
-and `table` add mpmath at their first evaluation.
+The parser is the standard library's argparse, so `import artifact.cli`
+loads the derivation engine, argparse and nothing else this package does
+not compute with: not numpy, mpmath, sympy, json or csv.  The checks behind
+`verify` and `gauss-bonnet` live in ``artifact.verify``; those two commands
+import it (and with it numpy and the oracles) when they run, so `derive`,
+`eval` and `table` load only the derivation engine; `eval` and `table` add
+mpmath at their first evaluation, `derive --format json` adds json and
+`table` csv.
 """
 
 from __future__ import annotations
 
-import csv
+import argparse
 import io
+import os
 import sys
 from math import isfinite
-from typing import Callable, Iterable, List, Optional, Tuple
-
-import click
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .modular_function_engine import OPERATORS, UsageError, derive_curvature, eval_function
 
@@ -31,38 +35,18 @@ def _set_stage(name: str) -> None:
     _stage = name
 
 
-def _staged(fn: Callable) -> Callable:
-    """Translate unexpected exceptions into exit code 3 with the stage name."""
-
-    def wrapper(*args, **kwargs):
-        _set_stage("startup")
-        try:
-            return fn(*args, **kwargs)
-        except (click.ClickException, click.exceptions.Exit, SystemExit):
-            raise
-        except UsageError as exc:
-            raise click.UsageError(str(exc))
-        except Exception as exc:
-            click.echo(f"internal error at stage {_stage}: {exc}", err=True)
-            sys.exit(3)
-
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
-
-
 def _parse_range(text: str, flag: str) -> List[float]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise click.UsageError(f"{flag} must be formatted a:b:n")
+        raise UsageError(f"{flag} must be formatted a:b:n")
     try:
         a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
-        raise click.UsageError(f"{flag} must be formatted a:b:n with numeric fields")
+        raise UsageError(f"{flag} must be formatted a:b:n with numeric fields")
     if not (isfinite(a) and isfinite(b)):
-        raise click.UsageError(f"{flag} needs finite endpoints")
+        raise UsageError(f"{flag} needs finite endpoints")
     if n < 1 or a <= 0 or b <= 0:
-        raise click.UsageError(f"{flag} needs n >= 1 and positive endpoints")
+        raise UsageError(f"{flag} needs n >= 1 and positive endpoints")
     if n == 1:
         return [a]
     return [a + (b - a) * i / (n - 1) for i in range(n - 1)] + [b]
@@ -75,92 +59,61 @@ def _emit(payload: str, out: Optional[str]) -> None:
             with open(out, "w") as fh:
                 fh.write(payload)
         except OSError as exc:
-            raise click.UsageError(f"--out {out}: {exc.strerror or exc}")
+            raise UsageError(f"--out {out}: {exc.strerror or exc}")
     else:
-        click.echo(payload, nl=False)
+        sys.stdout.write(payload)
 
 
-@click.group()
-def main() -> None:
-    """Symbolic + numeric engine for modular curvature on deformed tori."""
+def _file(path: str) -> str:
+    """HFILE or --out, checked as it is parsed: a directory is a usage error."""
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path} is a directory")
+    return path
 
 
 # --------------------------------------------------------------------------
-# derive
+# the commands: each takes its parsed options and returns its exit code
 
 
-@main.command()
-@click.option("--dim", type=int, default=2, show_default=True)
-@click.option("--operator", type=click.Choice(OPERATORS), default="kdelta",
-              show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
-              default="text", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
-@_staged
-def derive(dim: int, operator: str, fmt: str, out: Optional[str]) -> None:
+def derive(dim: int, operator: str, fmt: str, out: Optional[str]) -> int:
     """Derive the curvature functions and print the full report."""
     if fmt == "csv":
-        raise click.UsageError("derive emits a structured report; use text or json")
+        raise UsageError("derive emits a structured report; use text or json")
     _set_stage("curvature-derivation")
     report = derive_curvature(dim, operator)
     _set_stage("serialization")
     _emit((report.to_text() if fmt == "text" else report.to_json()) + "\n", out)
+    return 0
 
 
-# --------------------------------------------------------------------------
-# eval
-
-
-@main.command("eval")
-@click.option("--dim", type=int, default=2, show_default=True)
-@click.option("--operator", type=click.Choice(OPERATORS), default="kdelta",
-              show_default=True)
-@click.option("--which", type=click.Choice(["K", "G"]), required=True)
-@click.option("--s", "s", type=float, required=True)
-@click.option("--t", "t", type=float, default=None)
-@_staged
-def eval_cmd(dim: int, operator: str, which: str, s: float, t: Optional[float]) -> None:
+def eval_cmd(dim: int, operator: str, which: str, s: float, t: Optional[float]) -> int:
     """Evaluate K(s) or G(s, t) numerically (limit-filled on the diagonal)."""
     if which == "K" and t is not None:
-        raise click.UsageError("--t applies only to the two-variable function G")
+        raise UsageError("--t applies only to the two-variable function G")
     _set_stage("curvature-derivation")
     report = derive_curvature(dim, operator)
     _set_stage("evaluation")
     f = report.K if which == "K" else report.G
     value = eval_function(f, s, t if t is not None else 1.0)
-    click.echo(f"{value:.12g}")
+    print(f"{value:.12g}")
+    return 0
 
 
-# --------------------------------------------------------------------------
-# table
-
-
-@main.command()
-@click.option("--dim", type=int, default=2, show_default=True)
-@click.option("--operator", type=click.Choice(OPERATORS), default="kdelta",
-              show_default=True)
-@click.option("--which", type=click.Choice(["K", "G"]), required=True)
-@click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
-              default="csv", show_default=True)
-@click.option("--s-range", "s_range", required=True,
-              help="sweep a:b:n over s (n evenly spaced points)")
-@click.option("--t-range", "t_range", default=None,
-              help="sweep a:b:n over t (two-variable function only)")
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
-@_staged
 def table(dim: int, operator: str, which: str, fmt: str, s_range: str,
-          t_range: Optional[str], out: Optional[str]) -> None:
+          t_range: Optional[str], out: Optional[str]) -> int:
     """Tabulate K or G to CSV with header s,t,K,G (unused columns empty)."""
+    import csv
+
     if fmt != "csv":
-        raise click.UsageError("table writes CSV; use --format csv")
+        raise UsageError("table writes CSV; use --format csv")
     svals = _parse_range(s_range, "--s-range")
     if which == "K":
         if t_range is not None:
-            raise click.UsageError("--t-range applies only to the two-variable function G")
+            raise UsageError("--t-range applies only to the two-variable function G")
         tvals: List[Optional[float]] = [None]
     else:
         if t_range is None:
-            raise click.UsageError("tabulating G requires --t-range")
+            raise UsageError("tabulating G requires --t-range")
         tvals = list(_parse_range(t_range, "--t-range"))
     _set_stage("curvature-derivation")
     report = derive_curvature(dim, operator)
@@ -177,10 +130,7 @@ def table(dim: int, operator: str, which: str, fmt: str, s_range: str,
             else:
                 writer.writerow([repr(s), repr(t), "", repr(value)])
     _emit(buf.getvalue(), out)
-
-
-# --------------------------------------------------------------------------
-# verify
+    return 0
 
 
 # the suites of artifact.verify.CHECKS in run order
@@ -194,19 +144,11 @@ def _print_checks(checks: Iterable[Tuple[str, float, float]]) -> bool:
     for check, err, bound in checks:
         ok = err <= bound
         failed = failed or not ok
-        click.echo(f"CHECK {check} {err:.3e} {bound:.3e} {'PASS' if ok else 'FAIL'}")
+        print(f"CHECK {check} {err:.3e} {bound:.3e} {'PASS' if ok else 'FAIL'}", flush=True)
     return failed
 
 
-@main.command()
-@click.option("--suite", type=click.Choice(list(_SUITES) + ["all"]), default="all",
-              show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--tol", type=float, default=None,
-              help="override the bound of every floating-point check in the suite; "
-                   "the exact checks and gauss-bonnet-ratio keep theirs")
-@_staged
-def verify(suite: str, seed: int, tol: Optional[float]) -> None:
+def verify(suite: str, seed: int, tol: Optional[float]) -> int:
     """Run an oracle suite; exit 1 if any check fails."""
     from . import verify as checks
 
@@ -214,19 +156,10 @@ def verify(suite: str, seed: int, tol: Optional[float]) -> None:
     for name in _SUITES if suite == "all" else [suite]:
         _set_stage(f"verify-{name}")
         failed = _print_checks(checks.run(name, seed, tol)) or failed
-    if failed:
-        sys.exit(1)
+    return 1 if failed else 0
 
 
-# --------------------------------------------------------------------------
-# gauss-bonnet
-
-
-@main.command("gauss-bonnet")
-@click.argument("hfile", type=click.Path(exists=True, dir_okay=False), required=False)
-@click.option("--tol", type=float, default=1e-6, show_default=True)
-@_staged
-def gauss_bonnet(hfile: Optional[str], tol: float) -> None:
+def gauss_bonnet(hfile: Optional[str], tol: float) -> int:
     """Gauss-Bonnet residual sweep over theta for the conformal exponent h.
 
     HFILE holds one Fourier mode per line as `r1,r2 : re,im`; the default is
@@ -237,15 +170,145 @@ def gauss_bonnet(hfile: Optional[str], tol: float) -> None:
 
     _set_stage("h-parsing")
     h = None
-    if hfile:
-        with open(hfile) as fh:
-            try:
-                h = parse_element(fh.read(), 2, mode="float")
-            except ValueError as exc:
-                raise click.UsageError(f"HFILE {hfile}: {exc}")
+    if hfile is not None:
+        try:
+            with open(hfile) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"HFILE {hfile}: {exc.strerror or exc}")
+        try:
+            h = parse_element(text, 2, mode="float")
+        except ValueError as exc:
+            raise UsageError(f"HFILE {hfile}: {exc}")
     _set_stage("gauss-bonnet-residual")
-    if _print_checks(checks.gauss_bonnet_checks(h, tol)):
-        sys.exit(1)
+    return 1 if _print_checks(checks.gauss_bonnet_checks(h, tol)) else 0
+
+
+# --------------------------------------------------------------------------
+# the parser
+
+
+_DIM = dict(type=int, default=2, help="even dimension m >= 2 (default: 2)")
+_OPERATOR = dict(choices=OPERATORS, default="kdelta", help="the operator (default: kdelta)")
+_WHICH = dict(choices=("K", "G"), required=True, help="K(s) or G(s, t)")
+_FORMATS = ("text", "json", "csv")
+_OUT = dict(type=_file, default=None, help="write to this file instead of stdout")
+
+# name -> (function, {flag or positional: add_argument keywords})
+_COMMANDS = {
+    "derive": (derive, {
+        "--dim": _DIM, "--operator": _OPERATOR,
+        "--format": dict(dest="fmt", choices=_FORMATS, default="text",
+                         help="report format (default: text)"),
+        "--out": _OUT}),
+    "eval": (eval_cmd, {
+        "--dim": _DIM, "--operator": _OPERATOR, "--which": _WHICH,
+        "--s": dict(type=float, required=True, help="s > 0"),
+        "--t": dict(type=float, default=None, help="t > 0, for G only (default: 1)")}),
+    "table": (table, {
+        "--dim": _DIM, "--operator": _OPERATOR, "--which": _WHICH,
+        "--format": dict(dest="fmt", choices=_FORMATS, default="csv",
+                         help="output format, csv only (default: csv)"),
+        "--s-range": dict(required=True, help="sweep a:b:n over s (n evenly spaced points)"),
+        "--t-range": dict(default=None, help="sweep a:b:n over t (two-variable function only)"),
+        "--out": _OUT}),
+    "verify": (verify, {
+        "--suite": dict(choices=_SUITES + ("all",), default="all",
+                        help="oracle suite (default: all)"),
+        "--seed": dict(type=int, default=0, help="seed of the random inputs (default: 0)"),
+        "--tol": dict(type=float, default=None,
+                      help="override the bound of every floating-point check in the suite;\n"
+                           "the exact checks and gauss-bonnet-ratio keep theirs")}),
+    "gauss-bonnet": (gauss_bonnet, {
+        "hfile": dict(type=_file, nargs="?", default=None, metavar="HFILE",
+                      help="the exponent h, one Fourier mode per line"),
+        "--tol": dict(type=float, default=1e-6, help="bound of each residual (default: 1e-06)")}),
+}
+
+# argparse reads a value such as -inf, -1e-3 or -inf:2:3 as an option, so
+# _join_values attaches each value to its flag (--tol=-inf) before parsing
+_VALUED = {flag for _, options in _COMMANDS.values() for flag in options
+           if flag.startswith("--")}
+
+
+def _join_values(argv: Sequence[str]) -> List[str]:
+    out: List[str] = []
+    args = iter(argv)
+    for arg in args:
+        if arg == "--":
+            out.append(arg)
+            out.extend(args)
+        elif arg in _VALUED:
+            value = next(args, None)
+            out.append(arg if value is None else f"{arg}={value}")
+        else:
+            out.append(arg)
+    return out
+
+
+def _parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The parser, and the parser of each command by name."""
+    parser = argparse.ArgumentParser(
+        prog="artifact", allow_abbrev=False,
+        description="Symbolic + numeric engine for modular curvature on deformed tori.")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, (fn, options) in _COMMANDS.items():
+        doc = [line.strip() for line in fn.__doc__.strip().splitlines()]
+        sub = commands.add_parser(name, help=doc[0], description="\n".join(doc),
+                                  allow_abbrev=False,
+                                  formatter_class=argparse.RawTextHelpFormatter)
+        for flag, kwargs in options.items():
+            sub.add_argument(flag, **kwargs)
+    return parser, commands.choices
+
+
+def run(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command, argv as after `artifact` (sys.argv[1:] by default),
+    and return its exit code."""
+    parser, commands = _parser()
+    try:
+        args, extra = parser.parse_known_args(
+            _join_values(sys.argv[1:] if argv is None else argv))
+        if extra:  # reported with the command's usage, not the group's
+            commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
+    except SystemExit as exc:  # --help, or a usage error argparse has printed
+        return exc.code
+    args = vars(args)
+    name = args.pop("command")
+    _set_stage("startup")
+    try:
+        return _COMMANDS[name][0](**args)
+    except UsageError as exc:
+        # as argparse reports its own usage errors
+        commands[name].print_usage(sys.stderr)
+        print(f"{commands[name].prog}: error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        raise
+    except Exception as exc:
+        print(f"internal error at stage {_stage}: {exc}", file=sys.stderr)
+        return 3
+
+
+def main(argv: Optional[Sequence[str]] = None) -> None:
+    """The `artifact` executable: run one command and exit with its code."""
+    try:
+        code = run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the
+        # interpreter's own flush at exit fails no more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
+
+
+# click's command protocol, which perfbench/cli_child.py and the tests'
+# click.testing.CliRunner call: main.main(args=..., prog_name=...) raises
+# SystemExit with the exit code, and CliRunner names the program main.name.
+# Drop it with the next change to the benchmark.
+main.main = lambda args=None, prog_name=None, **_: main(args)
+main.name = "artifact"
 
 
 if __name__ == "__main__":

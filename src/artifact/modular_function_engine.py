@@ -48,13 +48,11 @@ mpmath is imported only on that path, at its first call, and sympy only by
 
 from __future__ import annotations
 
-import json
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, inf, isinf, perm
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exactnum import Factor, RationalFunction, poly_add
 from .symbol_engine import (
@@ -457,8 +455,7 @@ def _evaluate(f: SymbolicFunction, s: float, t: float) -> float:
 # signatures
 
 
-@dataclass(frozen=True)
-class TermSignature:
+class TermSignature(NamedTuple):
     """Radial-integral data of one post-sphere scalar word.
 
     b0_exponents are the b0 powers of the blocks cut by the curvature
@@ -735,8 +732,7 @@ def _signatures(m: int, operator: str):
         yield sig
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
+class CurvatureReport(NamedTuple):
     """Final derivation output for one (dimension, operator) pair.
 
     K multiplies k^(-m/2) (hess k) g^{-1}; G multiplies k^(-m/2-1)
@@ -788,6 +784,8 @@ class CurvatureReport:
         return tuple(notes)
 
     def to_json(self) -> str:
+        import json
+
         payload = {
             "dim": self.dim,
             "operator": self.operator,

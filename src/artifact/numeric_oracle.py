@@ -34,10 +34,9 @@ import itertools
 import math
 import numbers
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,8 +81,12 @@ class ExponentNotSelfAdjointError(SelfAdjointnessError, UsageError):
     """gauss_bonnet_residual's exponent h fails star(h) = h."""
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class _QuadratureFields(NamedTuple):
+    abs_tol: float = 1e-12
+    max_depth: int = 8
+
+
+class QuadratureSpec(_QuadratureFields):
     """Fixed method: the trapezoid rule in tau after r = e^(pi sinh tau - c).
 
     Level 0 has step 1 in tau; each further level halves the step, adding
@@ -91,17 +94,16 @@ class QuadratureSpec:
     difference between the last two levels when max_depth is reached
     without convergence."""
 
-    abs_tol: float = 1e-12
-    max_depth: int = 8
+    __slots__ = ()
 
-    def __post_init__(self):
-        tol, depth = self.abs_tol, self.max_depth
+    def __new__(cls, abs_tol: float = 1e-12, max_depth: int = 8):
         # a NaN tolerance would pass every exhaustion test
-        if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
-                or not 0 < tol < math.inf):
-            raise ValueError(f"abs_tol must be a finite number > 0, got {tol!r}")
-        if isinstance(depth, bool) or not isinstance(depth, int) or depth < 1:
-            raise ValueError(f"max_depth must be an int >= 1, got {depth!r}")
+        if (isinstance(abs_tol, bool) or not isinstance(abs_tol, numbers.Real)
+                or not 0 < abs_tol < math.inf):
+            raise ValueError(f"abs_tol must be a finite number > 0, got {abs_tol!r}")
+        if isinstance(max_depth, bool) or not isinstance(max_depth, int) or max_depth < 1:
+            raise ValueError(f"max_depth must be an int >= 1, got {max_depth!r}")
+        return tuple.__new__(cls, (abs_tol, max_depth))
 
 
 # the last node lies this far (in log r) beyond the outermost breakpoint

@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import itertools
 import string
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactnum import GaussianRational
 
@@ -94,19 +93,23 @@ def is_central(kind: str) -> bool:
     return atom_class(kind) == "central"
 
 
-@dataclass(frozen=True)
-class Atom:
+class _AtomFields(NamedTuple):
     kind: str
     slots: Tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if self.kind not in _KIND_TABLE:
-            raise MalformedTermError(f"unknown atom kind {self.kind!r}")
-        if len(self.slots) != atom_rank(self.kind):
+
+class Atom(_AtomFields):
+    __slots__ = ()
+
+    def __new__(cls, kind: str, slots: Tuple[str, ...] = ()):
+        if kind not in _KIND_TABLE:
+            raise MalformedTermError(f"unknown atom kind {kind!r}")
+        if len(slots) != atom_rank(kind):
             raise MalformedTermError(
-                f"atom {self.kind} carries {len(self.slots)} slots, "
-                f"declared rank is {atom_rank(self.kind)}"
+                f"atom {kind} carries {len(slots)} slots, "
+                f"declared rank is {atom_rank(kind)}"
             )
+        return tuple.__new__(cls, (kind, slots))
 
     def relabel(self, mapping: Dict[str, str]) -> "Atom":
         if not self.slots:
@@ -114,8 +117,7 @@ class Atom:
         return Atom(self.kind, tuple(mapping.get(s, s) for s in self.slots))
 
 
-@dataclass(frozen=True)
-class NCMonomial:
+class NCMonomial(NamedTuple):
     coeff: GaussianRational
     word: Tuple[Atom, ...] = ()
 

@@ -19,9 +19,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -52,26 +51,30 @@ class SelfAdjointnessError(ValueError):
     """exp_element requires a self-adjoint exponent."""
 
 
-@dataclass(frozen=True)
-class SkewMatrix:
-    """Skew-symmetric deformation matrix; entries Fraction (exact) or float."""
-
+class _SkewFields(NamedTuple):
     n: int
     entries: Tuple[Tuple[Union[Fraction, float], ...], ...]
 
-    def __post_init__(self):
-        if self.n <= 0:
+
+class SkewMatrix(_SkewFields):
+    """Skew-symmetric deformation matrix; entries Fraction (exact) or float."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, entries: Tuple[Tuple[Union[Fraction, float], ...], ...]):
+        if n <= 0:
             raise ValueError("torus rank must be positive")
-        if len(self.entries) != self.n or any(len(row) != self.n for row in self.entries):
+        if len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError("entries must be an n-by-n array")
         # inf == -(-inf) passes the skew test, and every phase would be NaN
         if any(isinstance(x, float) and not math.isfinite(x)
-               for row in self.entries for x in row):
+               for row in entries for x in row):
             raise ValueError("deformation matrix entries must be finite")
-        for a in range(self.n):
-            for b in range(self.n):
-                if self.entries[a][b] != -self.entries[b][a]:
+        for a in range(n):
+            for b in range(n):
+                if entries[a][b] != -entries[b][a]:
                     raise ValueError("deformation matrix must be skew-symmetric")
+        return tuple.__new__(cls, (n, entries))
 
     @classmethod
     def standard_2d(cls, theta) -> "SkewMatrix":

@@ -404,14 +404,29 @@ def test_cli_suites_are_the_check_table_suites():
     assert cli._SUITES == checks.SUITES
 
 
+# modules no command computes with; `import artifact.cli` loads none of them
+COLD_UNLOADED = ("numpy", "mpmath", "artifact.numeric_oracle", "artifact.theta_algebra",
+                 "artifact.verify", "click", "dataclasses", "inspect", "json", "csv", "sympy")
+
+
 def test_cli_import_loads_neither_numpy_nor_the_oracles():
-    code = ("import sys, artifact.cli; "
-            "print(sorted(m for m in ('numpy', 'mpmath', 'artifact.numeric_oracle', "
-            "'artifact.theta_algebra', 'artifact.verify') if m in sys.modules))")
+    # counted against what the bare interpreter has loaded at startup; the
+    # text report loads nothing more of the list and the JSON report json only
+    code = ("import contextlib, io, sys\n"
+            "startup = set(sys.modules)\n"
+            "def loaded():\n"
+            f"    return sorted(m for m in {COLD_UNLOADED!r}\n"
+            "                  if m in sys.modules and m not in startup)\n"
+            "import artifact.cli as cli\n"
+            "print(loaded())\n"
+            "for fmt in ('text', 'json'):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.run(['derive', '--format', fmt]) == 0\n"
+            "    print(loaded())\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines() == ["[]", "[]", "['json']"]
 
 
 # every shipped report, in json and text
@@ -439,7 +454,7 @@ def test_only_evaluating_commands_load_mpmath():
             f"            sys.argv = [{script!r}, '--json']\n"
             "            runpy.run_path(sys.argv[0], run_name='__main__')\n"
             "        else:\n"
-            "            cli.main(argv, standalone_mode=False)\n"
+            "            assert cli.run(argv) == 0, argv\n"
             "    outputs.append(buf.getvalue())\n"
             "outputs.append(sys.modules.get('mpmath') is None)  # never loaded\n"
             "print(json.dumps(outputs))\n")
@@ -472,7 +487,7 @@ def test_cold_commands_do_not_load_sympy():
     block = "import sys\nsys.modules['sympy'] = None  # import sympy now fails\n"
     code = (block + "import artifact.cli as cli\n"
             f"for argv in {commands!r}:\n"
-            "    cli.main(argv, standalone_mode=False)\n"
+            "    assert cli.run(argv) == 0, argv\n"
             "print(repr(cli.derive_curvature(2, 'kdelta').G))\n"
             "print(sys.modules['sympy'] is None)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
@@ -582,3 +597,126 @@ def test_gauss_bonnet_bad_exponent_file_is_a_usage_error(runner, tmp_path, text,
     assert result.exit_code == 2
     assert reason in result.output
     assert "internal error" not in result.output
+
+
+# ---------------------------------------------------------------------------
+# parser contract
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("args, names", [
+    ([], "COMMAND"),
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+    (["derive", "--operator", "bogus"], "argument --operator: invalid choice: 'bogus'"),
+    (["eval", "--which", "H", "--s", "2"], "argument --which: invalid choice: 'H'"),
+    (["derive", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+    (["table", "--which", "K", "--s-range", "1:2:3", "--format", "xml"],
+     "argument --format: invalid choice: 'xml'"),
+    (["verify", "--suite", "none"], "argument --suite: invalid choice: 'none'"),
+    (["eval", "--s", "2"], "required: --which"),
+    (["eval", "--which", "K"], "required: --s"),
+    (["table", "--which", "K"], "required: --s-range"),
+    (["derive", "--dim", "two"], "argument --dim: invalid int value: 'two'"),
+    (["eval", "--which", "K", "--s", "x"], "argument --s: invalid float value: 'x'"),
+    (["verify", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    (["verify", "--tol", "x"], "argument --tol: invalid float value: 'x'"),
+    (["gauss-bonnet", "--tol", "x"], "argument --tol: invalid float value: 'x'"),
+    (["derive", "--op", "kdelta"], "artifact derive: error: unrecognized arguments: --op"),
+    (["eval", "--which", "K", "--s", "2", "--dimension", "2"],
+     "artifact eval: error: unrecognized arguments: --dimension"),
+], ids=["no-command", "unknown-command", "operator", "which", "derive-format",
+        "table-format", "suite", "missing-which", "missing-s", "missing-s-range",
+        "dim-not-int", "s-not-float", "seed-not-int", "tol-not-float", "gb-tol-not-float",
+        "abbreviated", "unknown-option"])
+def test_parser_errors_exit_two_and_name_the_flag(runner, args, names):
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 2
+    assert names in result.output
+    assert "internal error" not in result.output
+
+
+def test_missing_hfile_is_a_usage_error_naming_it(runner, tmp_path):
+    hfile = tmp_path / "missing.txt"
+    result = runner.invoke(cli.main, ["gauss-bonnet", str(hfile)])
+    assert result.exit_code == 2
+    assert f"HFILE {hfile}: No such file or directory" in result.output
+    assert "CHECK" not in result.output
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["gauss-bonnet", "{}"], "HFILE"),
+    (["derive", "--out", "{}"], "--out"),
+    (["table", "--which", "K", "--s-range", "1:2:3", "--out", "{}"], "--out"),
+], ids=["hfile", "derive-out", "table-out"])
+def test_a_directory_for_a_file_is_a_usage_error_naming_it(runner, tmp_path, monkeypatch,
+                                                           args, flag):
+    # checked as the arguments are parsed: the derivation never starts
+    monkeypatch.setattr(cli, "derive_curvature", None)
+    result = runner.invoke(cli.main, [a.format(tmp_path) for a in args])
+    assert result.exit_code == 2
+    assert f"argument {flag}: {tmp_path} is a directory" in result.output
+    assert "internal error" not in result.output
+
+
+@pytest.mark.parametrize("args, message", [
+    (["eval", "--which", "K", "--s", "-1e-3"], "0 < s < inf and 0 < t < inf"),
+    (["eval", "--which", "G", "--s", "2", "--t", "-1e-3"], "0 < s < inf and 0 < t < inf"),
+    (["eval", "--which", "K", "--s", "-inf"], "0 < s < inf and 0 < t < inf"),
+    (["table", "--which", "K", "--s-range", "-1e-3:2:3"],
+     "--s-range needs n >= 1 and positive endpoints"),
+    (["verify", "--suite", "algebra", "--tol", "-1e-3"],
+     "--tol must be a finite number >= 0, not -0.001"),
+    (["gauss-bonnet", "--tol=-inf"], "--tol must be a finite number >= 0, not -inf"),
+], ids=["s", "t", "s-inf", "s-range", "verify-tol", "tol-joined"])
+def test_a_dash_leading_value_reaches_the_engine_check(runner, args, message):
+    # argparse alone would read -1e-3 or -inf as an option and report a
+    # missing value instead of the engine's own message
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 2
+    assert message in result.output
+    assert "expected one argument" not in result.output
+
+
+HELP_OPTIONS = {
+    "derive": ["--dim", "--operator", "--format", "--out"],
+    "eval": ["--dim", "--operator", "--which", "--s", "--t"],
+    "table": ["--dim", "--operator", "--which", "--format", "--s-range", "--t-range", "--out"],
+    "verify": ["--suite", "--seed", "--tol"],
+    "gauss-bonnet": ["HFILE", "--tol"],
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_OPTIONS))
+def test_command_help_exits_zero_and_lists_every_option(runner, command):
+    result = runner.invoke(cli.main, [command, "--help"])
+    assert result.exit_code == 0
+    listed = set(re.findall(r"^  (?:-h, )?(--[a-z-]+|[A-Z]+)\b", result.output, re.MULTILINE))
+    assert listed == set(HELP_OPTIONS[command]) | {"--help"}
+
+
+def test_group_help_exits_zero_and_lists_every_command(runner):
+    result = runner.invoke(cli.main, ["--help"])
+    assert result.exit_code == 0
+    listed = re.findall(r"^    ([a-z-]+)", result.output, re.MULTILINE)
+    assert listed == list(HELP_OPTIONS)
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--suite", "all", "--seed", "0"],
+    ["table", "--which", "K", "--s-range", "0.1:10:3000"],
+], ids=["verify", "table"])
+def test_closed_stdout_ends_the_command_quietly(args):
+    # as `artifact verify | head -1`: verify prints each CHECK line as it
+    # arrives and has about two seconds of checks left after the first; table
+    # writes 120 kB at once, more than the pipe holds
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    env.pop("PYTHONUNBUFFERED", None)  # unbuffered, a cut write is not an error
+    proc = subprocess.Popen([sys.executable, "-m", "artifact.cli"] + args, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert first.startswith(b"CHECK algebra-" if args[0] == "verify" else b"s,t,K,G")
+    assert stderr == b""

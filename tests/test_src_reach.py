@@ -22,7 +22,6 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "artifact"
 
 ALLOWED = {
-    "cli._staged": "applied to each command at import, before any command runs",
     "modular_function_engine._symbols": "perfbench reads SymbolicFunction.parts",
     "modular_function_engine._poly_expr": "perfbench reads SymbolicFunction.parts",
     "modular_function_engine.SymbolicFunction.parts": "perfbench reads it",
