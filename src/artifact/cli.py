@@ -292,6 +292,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
     """The `artifact` executable: run one command and exit with its code."""
+    if isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
+        # unbuffered (PYTHONUNBUFFERED=1): the text layer ignores a short
+        # write to the raw file, which a buffered one retries
+        sys.stdout = open(sys.stdout.fileno(), "w", encoding=sys.stdout.encoding,
+                          errors=sys.stdout.errors, closefd=False, buffering=1)
     try:
         code = run(argv)
         sys.stdout.flush()

@@ -22,12 +22,13 @@ import itertools
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .exactnum import GaussianRational
+from .exactnum import GaussianRational, as_int
 from .symbol_engine import (
     Atom,
     NCExpression,
     NCMonomial,
     canonicalize,
+    slot_places,
 )
 
 
@@ -49,14 +50,6 @@ _RULE_CONSTANTS = {
     "jet_cluster": lambda m: Fraction(4, 3 * m),      # D2Xi2*Nabla2Xi2 -> c * Xi2 * SDelta
     "null_cluster": lambda m: Fraction(0),        # DXi2*DXi2*Nabla2Xi2 -> 0
 }
-
-
-def _partner_map(word: Tuple[Atom, ...]) -> Dict[str, List[Tuple[int, int]]]:
-    occ: Dict[str, List[Tuple[int, int]]] = {}
-    for i, a in enumerate(word):
-        for j, s in enumerate(a.slots):
-            occ.setdefault(s, []).append((i, j))
-    return occ
 
 
 def _partners_of_atom(word, occ, idx) -> List[Optional[int]]:
@@ -85,7 +78,7 @@ def _substitute_term(term: NCMonomial, m: int) -> Optional[NCMonomial]:
         )
 
     while True:
-        occ = _partner_map(tuple(word))
+        occ = slot_places(word)
         verticals = [i for i, a in enumerate(word) if a.kind in _VERTICAL]
         if not verticals:
             break
@@ -179,8 +172,7 @@ def sphere_average(e: NCExpression, m: int) -> NCExpression:
     m must be a concrete even integer >= 2. The output contains no vertical
     atoms, only real rational coefficients, and only atoms meaningful on the
     base (plus Xi2 powers recording the radial degree)."""
-    if not isinstance(m, int) or m < 2 or m % 2 != 0:
-        raise ValueError("dimension m must be an even integer >= 2")
+    m = as_int(m, "dimension m must be an even integer >= 2", lambda n: n >= 2 and n % 2 == 0)
     out: List[NCMonomial] = []
     for term in canonicalize(e).terms:
         sub = _substitute_term(term, m)

@@ -9,15 +9,32 @@ are rational functions whose denominators are known in advance (products of
 s, t, s - 1, t - 1 and st - 1), so ``RationalFunction`` keeps them factored
 and reduces by trial division, without a gcd and without sympy.  It takes
 any irreducible factors; ``SymbolicFunction`` admits only those five.
+``as_int`` reads every integer argument of the package's entry points.
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 _RatLike = Union[int, Fraction]
+
+
+def as_int(value, what: str, ok=lambda n: True, error=ValueError) -> int:
+    """value as a Python int, read by operator.index so numpy integers
+    pass; a bool, a value without __index__ (2.0, "2", None) or an int that
+    fails ok raises error(f"{what}, got {value!r}")."""
+    if not isinstance(value, bool):
+        try:
+            n = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if ok(n):
+                return n
+    raise error(f"{what}, got {value!r}")
 
 
 class GaussianRational:

@@ -48,13 +48,12 @@ mpmath is imported only on that path, at its first call, and sympy only by
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, inf, isinf, perm
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .exactnum import Factor, RationalFunction, poly_add
+from .exactnum import Factor, RationalFunction, as_int, poly_add
 from .symbol_engine import (
     NCExpression,
     NCMonomial,
@@ -464,6 +463,8 @@ class TermSignature(NamedTuple):
     factor: the net Delta power it acquired (k minus kinv counted to its
     right).  k_total is the net k power of the word itself; r_power is
     the Xi2 exponent w, tied to the blocks by w = sum(b0_exponents) - 2.
+    channel is "hess" for one HessK, "gradgrad" for two GradK and
+    "scalar" for none.
     """
 
     prefactor: Fraction
@@ -471,16 +472,7 @@ class TermSignature(NamedTuple):
     r_power: int
     k_total: int
     modular_shifts: Tuple[int, ...]
-    rho_factors: Tuple[str, ...]
-    contraction: str  # "ginv" or "none"
-
-    @property
-    def channel(self) -> str:
-        if self.rho_factors == ("HessK",):
-            return "hess"
-        if self.rho_factors == ("GradK", "GradK"):
-            return "gradgrad"
-        return "scalar"
+    channel: str
 
 
 _RHO_KINDS = {"GradK", "HessK"}
@@ -586,8 +578,7 @@ def extract_signature(term: NCMonomial) -> TermSignature:
         r_power=w,
         k_total=len(k_pos) - len(kinv_pos),
         modular_shifts=shifts,
-        rho_factors=tuple(rho_kinds),
-        contraction="ginv" if ginv_slots is not None else "none",
+        channel="hess" if rho_kinds == ["HessK"] else "gradgrad" if rho_kinds else "scalar",
     )
 
 
@@ -637,18 +628,11 @@ def _divided_difference(mults: Tuple[int, int, int], m: int) -> Tuple[RationalFu
 def family_exponents(exponents: Sequence[int],
                      sizes: Tuple[int, ...] = (1, 2, 3)) -> Tuple[int, ...]:
     """The block exponents of a radial family as Python ints, read by
-    operator.index so numpy integers pass.  Any other value (2.5, 2.0, "2",
-    True), a count outside sizes or a negative entry is a SignatureError;
-    exponents summing below 2 are a DivergentIntegralError."""
-    out = []
-    for e in exponents:
-        try:
-            if isinstance(e, bool):
-                raise TypeError
-            out.append(operator.index(e))
-        except TypeError:
-            raise SignatureError(f"family exponents must be integers, got {e!r}") from None
-    exps = tuple(out)
+    as_int.  Any other value (2.5, 2.0, "2", True), a count outside sizes or
+    a negative entry is a SignatureError; exponents summing below 2 are a
+    DivergentIntegralError."""
+    exps = tuple(as_int(e, "family exponents must be integers", error=SignatureError)
+                 for e in exponents)
     if len(exps) not in sizes:
         counts = ", ".join(map(str, sizes[:-1])) + f" or {sizes[-1]}"
         raise SignatureError(f"family exponents must have {counts} entries, got {exps}")
@@ -660,16 +644,10 @@ def family_exponents(exponents: Sequence[int],
 
 
 def _even_dimension(m: int, message: str) -> int:
-    """m as a Python int, read by operator.index as family_exponents reads
-    the exponents; a non-integer (4.0, "4", None), an odd m or m < 2 is a
+    """m as a Python int, read by as_int as family_exponents reads the
+    exponents; a non-integer (4.0, "4", None, True), an odd m or m < 2 is a
     UsageError with the given message."""
-    try:
-        m = operator.index(m)
-    except TypeError:
-        raise UsageError(f"{message}, got {m!r}") from None
-    if m < 2 or m % 2:
-        raise UsageError(message)
-    return m
+    return as_int(m, message, lambda n: n >= 2 and n % 2 == 0, UsageError)
 
 
 def radial_integral(exponents: Sequence[int], m: int) -> SymbolicFunction:

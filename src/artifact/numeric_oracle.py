@@ -40,6 +40,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .exactnum import as_int
 from .theta_algebra import (
     FourierElement,
     SelfAdjointnessError,
@@ -101,8 +102,7 @@ class QuadratureSpec(_QuadratureFields):
         if (isinstance(abs_tol, bool) or not isinstance(abs_tol, numbers.Real)
                 or not 0 < abs_tol < math.inf):
             raise ValueError(f"abs_tol must be a finite number > 0, got {abs_tol!r}")
-        if isinstance(max_depth, bool) or not isinstance(max_depth, int) or max_depth < 1:
-            raise ValueError(f"max_depth must be an int >= 1, got {max_depth!r}")
+        max_depth = as_int(max_depth, "max_depth must be an int >= 1", lambda n: n >= 1)
         return tuple.__new__(cls, (abs_tol, max_depth))
 
 
@@ -263,8 +263,8 @@ def matrix_rearrangement_check(dim: int, seed: int, exponents: Sequence[int],
     rho entries are drawn positive (uniform [0.5, 1.5]) so no entry is
     cancellation-dominated and relative error is meaningful.
     """
-    if not 1 <= dim <= 12:
-        raise ValueError("dim must be between 1 and 12 (dense spectral scale)")
+    dim = as_int(dim, "dim must be between 1 and 12 (dense spectral scale)",
+                 lambda n: 1 <= n <= 12)
     exps = family_exponents(exponents, (2, 3))
     if s_shift and len(exps) != 3:
         raise ValueError("the s-shift variant applies to H families")
@@ -473,9 +473,8 @@ def gauss_bonnet_residual(h: FourierElement, theta: SkewMatrix,
     """
     if h.n != 2 or theta.n != 2:
         raise UsageError("the Gauss-Bonnet oracle is a rank-2 check")
-    for name, value in (("series_order", series_order), ("support_cap", support_cap)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+    series_order = as_int(series_order, "series_order must be an int >= 1", lambda n: n >= 1)
+    support_cap = as_int(support_cap, "support_cap must be an int >= 1", lambda n: n >= 1)
     hf = FourierElement(h.n, h.coeffs, "float")
     if not is_self_adjoint(hf, tol=1e-12):
         raise ExponentNotSelfAdjointError(

@@ -25,6 +25,18 @@ SDelta      base scalar curvature
 Commutation: the fiber-central atoms (Xi2, Lambda, DXi2, D2Xi2, Nabla2Xi2,
 Nabla3L, Ginv, SDelta) commute with everything; b0, k, kinv commute with each
 other; nothing else commutes.
+
+Canonical form
+--------------
+``canonicalize`` writes each word one way.  The noncentral atoms keep their
+order, except that each commuting b0/k/kinv cluster between curvature factors
+is sorted b0, k, kinv; the central atoms follow, stably sorted in
+_CENTRAL_ORDER.  The candidates are this word under every order of each run
+of like central atoms that carry slots (a run of slot-free atoms is one atom
+repeated), each with its labels renamed a, b, c, ... in reading order; the
+canonical word is the least of them under _word_sortkey.  The candidate set
+depends only on the term's class under relabelling and under reordering
+atoms that commute, so its least element does too.
 """
 from __future__ import annotations
 
@@ -33,7 +45,7 @@ import string
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .exactnum import GaussianRational
+from .exactnum import GaussianRational, as_int
 
 # --------------------------------------------------------------------------
 # atom tables
@@ -117,15 +129,21 @@ class Atom(_AtomFields):
         return Atom(self.kind, tuple(mapping.get(s, s) for s in self.slots))
 
 
+def slot_places(word: Sequence[Atom]) -> Dict[str, List[Tuple[int, int]]]:
+    """Each label of the word -> its (atom index, slot index) places."""
+    places: Dict[str, List[Tuple[int, int]]] = {}
+    for i, a in enumerate(word):
+        for j, s in enumerate(a.slots):
+            places.setdefault(s, []).append((i, j))
+    return places
+
+
 class NCMonomial(NamedTuple):
     coeff: GaussianRational
     word: Tuple[Atom, ...] = ()
 
     def labels(self) -> List[str]:
-        out: List[str] = []
-        for a in self.word:
-            out.extend(a.slots)
-        return out
+        return [s for a in self.word for s in a.slots]
 
     def relabel(self, mapping: Dict[str, str]) -> "NCMonomial":
         return NCMonomial(self.coeff, tuple(a.relabel(mapping) for a in self.word))
@@ -137,11 +155,7 @@ class NCMonomial(NamedTuple):
         return sum(atom_parity(a.kind) for a in self.word) % 2
 
     def validate(self):
-        counts: Dict[str, List[Tuple[int, int]]] = {}
-        for i, a in enumerate(self.word):
-            for j, s in enumerate(a.slots):
-                counts.setdefault(s, []).append((i, j))
-        for label, occ in counts.items():
+        for label, occ in slot_places(self.word).items():
             if len(occ) > 2:
                 raise MalformedTermError(f"label {label!r} occurs {len(occ)} times")
             if len(occ) == 2:
@@ -207,81 +221,30 @@ class NCExpression:
 # canonical form
 
 
+# sort rank of the kinds that commute: the b0/k/kinv of a cluster, the centrals
+_RANK = {kind: i for i, kind in enumerate(["b0", "k", "kinv"] + _CENTRAL_ORDER)}
+
+
+def _by_rank(a: Atom) -> int:
+    return _RANK[a.kind]
+
+
 def _nc_normal(word: Sequence[Atom]) -> List[Atom]:
-    """Normalize the noncentral skeleton: between rho atoms, order each
-    commuting cluster as b0-power, then k-power, then kinv-power."""
+    """The noncentral skeleton with each commuting cluster between curvature
+    factors sorted b0, k, kinv."""
     out: List[Atom] = []
-    b0 = k = kinv = 0
-
-    def flush():
-        nonlocal b0, k, kinv
-        out.extend([Atom("b0")] * b0)
-        out.extend([Atom("k")] * k)
-        out.extend([Atom("kinv")] * kinv)
-        b0 = k = kinv = 0
-
-    for a in word:
-        cls = atom_class(a.kind)
-        if cls == "b0":
-            b0 += 1
-        elif cls == "kfactor":
-            if a.kind == "k":
-                k += 1
-            else:
-                kinv += 1
-        else:  # rho
-            flush()
-            out.append(a)
-    flush()
+    for rho, run in itertools.groupby(word, lambda a: atom_class(a.kind) == "rho"):
+        out.extend(run if rho else sorted(run, key=_by_rank))
     return out
 
 
-def _structure_keys(nc: List[Atom], centrals: List[Atom]):
-    """Label-free structural keys for the central atoms (used to sort them
-    deterministically before labels are renamed)."""
-    # occurrences over the whole term
-    occ: Dict[str, List[Tuple[str, int, int]]] = {}
-    for i, a in enumerate(nc):
-        for j, s in enumerate(a.slots):
-            occ.setdefault(s, []).append(("nc", i, j))
-    for i, a in enumerate(centrals):
-        for j, s in enumerate(a.slots):
-            occ.setdefault(s, []).append(("ce", i, j))
-
-    keys = [(a.kind,) for a in centrals]
-    for _ in range(3):
-        new_keys = []
-        for ci, a in enumerate(centrals):
-            parts = []
-            for j, s in enumerate(a.slots):
-                partners = [o for o in occ[s] if o != ("ce", ci, j)]
-                if not partners:
-                    parts.append(("free",))
-                else:
-                    where, pi, pj = partners[0]
-                    if where == "nc":
-                        parts.append(("nc", pi, nc[pi].kind, pj))
-                    else:
-                        parts.append(("ce", keys[pi], pj))
-            new_keys.append((a.kind, tuple(parts)))
-        keys = new_keys
-    return keys
-
-
-_CANON_ALPHABET = list(string.ascii_lowercase)
-
-
 def _canonical_labels(word: Sequence[Atom]) -> Tuple[Atom, ...]:
+    """Labels renamed a, b, ..., z, a26, ... in reading order."""
     mapping: Dict[str, str] = {}
-    n = 0
-    for a in word:
-        for s in a.slots:
-            if s not in mapping:
-                if n < len(_CANON_ALPHABET):
-                    mapping[s] = _CANON_ALPHABET[n]
-                else:
-                    mapping[s] = f"a{n}"
-                n += 1
+    for s in (s for a in word for s in a.slots):
+        if s not in mapping:
+            n = len(mapping)
+            mapping[s] = string.ascii_lowercase[n] if n < 26 else f"a{n}"
     return tuple(a.relabel(mapping) for a in word)
 
 
@@ -290,31 +253,19 @@ def _word_sortkey(word: Tuple[Atom, ...]):
 
 
 def _canonical_word(term: NCMonomial) -> Tuple[Atom, ...]:
+    """The least relabelled word over every order of each run of like
+    central atoms that carry slots (see "Canonical form" above)."""
     nc = _nc_normal([a for a in term.word if not is_central(a.kind)])
-    centrals = [a for a in term.word if is_central(a.kind)]
-    if not centrals:
-        return _canonical_labels(nc)
-
-    keys = _structure_keys(nc, centrals)
-    order_key = [( _CENTRAL_ORDER.index(a.kind), keys[i]) for i, a in enumerate(centrals)]
-    # group ties; try permutations inside tied groups and keep the least word
-    decorated = sorted(range(len(centrals)), key=lambda i: order_key[i])
-    groups: List[List[int]] = []
-    for idx in decorated:
-        if groups and order_key[groups[-1][-1]] == order_key[idx]:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-    pools = [itertools.permutations(g) if len(g) > 1 and atom_rank(centrals[g[0]].kind) > 0 else [tuple(g)] for g in groups]
-    candidates = (_canonical_labels(nc + [centrals[i] for grp in combo for i in grp])
-                  for combo in itertools.product(*pools))
-    return min(candidates, key=_word_sortkey)
+    centrals = sorted((a for a in term.word if is_central(a.kind)), key=_by_rank)
+    pools = [itertools.permutations(run) if atom_rank(kind) else [tuple(run)]
+             for kind, run in itertools.groupby(centrals, lambda a: a.kind)]
+    return min((_canonical_labels(nc + [a for run in combo for a in run])
+                for combo in itertools.product(*pools)), key=_word_sortkey)
 
 
 def canonicalize(e: NCExpression) -> NCExpression:
-    """Canonical form: centrals rightmost in fixed kind order, commuting
-    factors ordered b0/k/kinv, labels renamed in reading order, like terms
-    collected, deterministic term order. Idempotent."""
+    """Each word in canonical form (see "Canonical form" above), like terms
+    collected, terms in a deterministic order. Idempotent."""
     acc: Dict[Tuple[Atom, ...], GaussianRational] = {}
     for term in e.terms:
         term.validate()
@@ -486,8 +437,7 @@ def resolvent_b(kappa: int, symbols: Dict[str, NCExpression]) -> NCExpression:
     factors, which is the convention whose output words match the
     downstream sphere-rule patterns.
     """
-    if kappa not in (0, 1, 2):
-        raise ValueError("kappa must be in {0, 1, 2}")
+    kappa = as_int(kappa, "kappa must be in {0, 1, 2}", lambda n: n in (0, 1, 2))
     p2 = symbols.get("p2")
     if p2 is None or canonicalize(p2).terms != canonicalize(standard_p2()).terms:
         raise ValueError("p2 must be the designated leading word k*Xi2 - Lambda")

@@ -24,7 +24,7 @@ from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .exactnum import GaussianRational
+from .exactnum import GaussianRational, as_int
 
 Index = Tuple[int, ...]
 Coeff = Union[GaussianRational, complex]
@@ -170,8 +170,7 @@ class FourierElement:
     @classmethod
     def generator(cls, n: int, axis: int, mode: str = "exact") -> "FourierElement":
         """The unitary generator e_axis (1-indexed), support {delta_axis}."""
-        if not 1 <= axis <= n:
-            raise ValueError("axis out of range")
+        axis = as_int(axis, f"axis must be an int from 1 to {n}", lambda j: 1 <= j <= n)
         idx = tuple(1 if j == axis - 1 else 0 for j in range(n))
         return cls(n, {idx: 1}, mode)
 
@@ -347,8 +346,7 @@ def derivation(a: FourierElement, j: int) -> FourierElement:
     keeps coefficients in Q(i) by using the rescaled generator i*r_j (the
     2*pi is a fixed real scale that cancels from every law we assert).
     """
-    if not 1 <= j <= a.n:
-        raise ValueError("axis out of range")
+    j = as_int(j, f"axis j must be an int from 1 to {a.n}", lambda i: 1 <= i <= a.n)
     unit = _DERIVATION_UNIT[a.mode]
     out = {idx: unit * idx[j - 1] * c for idx, c in a.coeffs.items() if idx[j - 1]}
     return FourierElement._canonical(a.n, out, a.mode)
@@ -377,14 +375,13 @@ def exp_element(h: FourierElement, theta: SkewMatrix, order: int,
     ...), scaling by c^m is exact in float mode, so c^m P_m is bit for bit
     the m-th term of exp_element(c h), barring underflow.
     """
-    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
-        raise ValueError(f"order must be an int >= 1, got {order!r}")
-    if factors is not None and any(isinstance(c, bool) or not isinstance(c, int)
-                                   for c in factors):
-        raise ValueError(f"factors must be integers, got {factors!r}")
+    order = as_int(order, "order must be an int >= 1", lambda n: n >= 1)
+    try:
+        scales = (1,) if factors is None else tuple(as_int(c, "factor") for c in factors)
+    except ValueError:
+        raise ValueError(f"factors must be integers, got {factors!r}") from None
     if not is_self_adjoint(h, tol=1e-12 if h.mode == "float" else 0.0):
         raise SelfAdjointnessError("exponent must be self-adjoint")
-    scales = (1,) if factors is None else factors
     term = FourierElement.unit(h.n, h.mode)
     accs = [term] * len(scales)
     for m in range(1, order + 1):

@@ -708,15 +708,18 @@ def test_group_help_exits_zero_and_lists_every_command(runner):
 def test_closed_stdout_ends_the_command_quietly(args):
     # as `artifact verify | head -1`: verify prints each CHECK line as it
     # arrives and has about two seconds of checks left after the first; table
-    # writes 120 kB at once, more than the pipe holds
+    # writes 120 kB at once, more than the pipe holds.  Unbuffered, stdout
+    # once wrote through a raw file whose short write was ignored: exit 0
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-    env.pop("PYTHONUNBUFFERED", None)  # unbuffered, a cut write is not an error
-    proc = subprocess.Popen([sys.executable, "-m", "artifact.cli"] + args, env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    stderr = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 1
-    assert first.startswith(b"CHECK algebra-" if args[0] == "verify" else b"s,t,K,G")
-    assert stderr == b""
+    env.pop("PYTHONUNBUFFERED", None)
+    for unbuffered in ({"PYTHONUNBUFFERED": "1"}, {}):
+        proc = subprocess.Popen([sys.executable, "-m", "artifact.cli"] + args,
+                                env=dict(env, **unbuffered),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1, unbuffered
+        assert first.startswith(b"CHECK algebra-" if args[0] == "verify" else b"s,t,K,G")
+        assert stderr == b""

@@ -6,12 +6,17 @@ differences on a matrix-valued symbol, three seeds, relative error ~1e-20)
 before being adopted as goldens.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
+from artifact import symbol_engine
+from artifact.cosphere_integrator import sphere_average
 from artifact.exactnum import GaussianRational
+from artifact.modular_function_engine import derive_curvature
 from artifact.symbol_engine import (
     Atom,
     MalformedTermError,
@@ -19,9 +24,11 @@ from artifact.symbol_engine import (
     NCMonomial,
     SymbolRuleError,
     a_j,
+    atom_class,
     b0_expression,
     canonicalize,
     homogeneity_degrees,
+    is_central,
     nc4tori_lower_symbols,
     resolvent_b,
     standard_p2,
@@ -208,9 +215,82 @@ def test_b2_terms_have_even_xi_parity():
 
 
 def test_canonicalize_idempotent():
+    # .terms directly: NCExpression.__eq__ canonicalizes both sides again
     b2 = resolvent_b(2, nc4tori_lower_symbols())
     once = canonicalize(b2)
-    assert canonicalize(once) == once
+    assert canonicalize(once).terms == once.terms
+
+
+def _relabel(word, rnd):
+    labels = sorted({s for a in word for s in a.slots})
+    fresh = [f"x{i}" for i in range(len(labels))]
+    rnd.shuffle(fresh)
+    mapping = dict(zip(labels, fresh))
+    return [a.relabel(mapping) for a in word]
+
+
+def _move_centrals(word, rnd):
+    """Each central atom to a random place, in a random order."""
+    out = [a for a in word if not is_central(a.kind)]
+    centrals = [a for a in word if is_central(a.kind)]
+    rnd.shuffle(centrals)
+    for a in centrals:
+        out.insert(rnd.randrange(len(out) + 1), a)
+    return out
+
+
+def _shuffle_clusters(word, rnd):
+    """Each run of atoms between curvature factors (b0, k, kinv and
+    centrals, which all commute) in a random order."""
+    out = []
+    for rho, run in itertools.groupby(word, lambda a: atom_class(a.kind) == "rho"):
+        run = list(run)
+        if not rho:
+            rnd.shuffle(run)
+        out.extend(run)
+    return out
+
+
+_MOVES = {
+    "relabel": _relabel,
+    "move-centrals": _move_centrals,
+    "shuffle-clusters": _shuffle_clusters,
+    "all": lambda w, rnd: _relabel(_shuffle_clusters(_move_centrals(w, rnd), rnd), rnd),
+}
+
+
+@pytest.mark.parametrize("move", _MOVES.values(), ids=_MOVES)
+@settings(max_examples=30, deadline=None)
+@given(rnd=st.randoms(use_true_random=False))
+def test_canonical_form_is_invariant_under_relabelling_and_commuting(move, rnd):
+    # b2 of both operators, and an averaged b2 for Ginv and SDelta
+    for e in (resolvent_b(2, KDELTA), resolvent_b(2, nc4tori_lower_symbols()),
+              sphere_average(resolvent_b(2, KDELTA), 4)):
+        moved = NCExpression(NCMonomial(t.coeff, tuple(move(list(t.word), rnd)))
+                             for t in e.terms)
+        assert canonicalize(moved).terms == canonicalize(e).terms
+
+
+def test_the_derivations_try_at_most_two_orders_per_word(monkeypatch):
+    # the canonical word is the least over every order of each run of like
+    # central atoms with slots; the five reports' 249 words need at most two
+    tries = []
+    word, labels = symbol_engine._canonical_word, symbol_engine._canonical_labels
+
+    def counted_word(term):
+        tries.append(0)
+        return word(term)
+
+    def counted_labels(w):
+        tries[-1] += 1
+        return labels(w)
+
+    monkeypatch.setattr(symbol_engine, "_canonical_word", counted_word)
+    monkeypatch.setattr(symbol_engine, "_canonical_labels", counted_labels)
+    for m, operator in [(2, "kdelta"), (4, "kdelta"), (6, "kdelta"), (8, "kdelta"),
+                        (4, "nc4tori")]:
+        derive_curvature(m, operator)
+    assert tries and max(tries) <= 2
 
 
 def test_canonicalize_is_label_invariant():
