@@ -10,10 +10,14 @@ The parser is the standard library's argparse, so `import artifact.cli`
 loads the derivation engine, argparse and nothing else this package does
 not compute with: not numpy, mpmath, sympy, json or csv.  The checks behind
 `verify` and `gauss-bonnet` live in ``artifact.verify``; those two commands
-import it (and with it numpy and the oracles) when they run, so `derive`,
-`eval` and `table` load only the derivation engine; `eval` and `table` add
-mpmath at their first evaluation, `derive --format json` adds json and
-`table` csv.
+import it (and with it the oracles and the Fourier algebra) when they run, so
+`derive`, `eval` and `table` load only the derivation engine; `eval` and
+`table` add mpmath at their first evaluation, `derive --format json` adds
+json and `table` csv.  numpy loads only where an array pays: at the first
+quadrature, matrix check or random input of a suite, and at the first float
+product of at least ``theta_algebra._ARRAY_PAIRS`` pairs.  So `gauss-bonnet`
+with a line-mode exponent, the default, and `verify --suite symbols` never
+load it.
 """
 
 from __future__ import annotations

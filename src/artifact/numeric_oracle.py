@@ -38,8 +38,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .exactnum import as_int
 from .theta_algebra import (
     FourierElement,
@@ -126,6 +124,8 @@ def _level_nodes(level: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
     int(tau_max / step): every integer in [-n, n] at level 0, then the odd
     multiples of step = 2^-level in [-n step, n step].  Read-only, since
     every caller shares them."""
+    import numpy as np
+
     if level == 0:
         tau = 1.0 * np.arange(-n, n + 1)
     else:
@@ -138,6 +138,8 @@ def _level_nodes(level: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
 def _batch_nodes(counts: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray, Tuple[int, ...]]:
     """The tables of levels 0..len(counts)-1 end to end, with the offsets
     that bound each level's slice."""
+    import numpy as np
+
     tables = [_level_nodes(level, n) for level, n in enumerate(counts)]
     bounds = (0, *itertools.accumulate(len(t[0]) for t in tables))
     return (_read_only(np.concatenate([t[0] for t in tables])),
@@ -174,6 +176,8 @@ def _quad_raw(scales: np.ndarray, exps: Sequence[int], w: int,
     overflowed level, or a row whose scales themselves overflow or
     underflow, raises ArithmeticError.
     """
+    import numpy as np
+
     used = [i for i, e in enumerate(exps) if e]
     rows = np.asarray(scales, dtype=float)
     if len(used) < len(exps):
@@ -232,6 +236,8 @@ def quad_r_integral(exponents: Sequence[int], s: float, t: float = 1.0,
     """Numeric value of int_0^oo K_(p,q)(s, r) dr or int_0^oo
     H_(p,q,l)(s,t,r) dr within spec.abs_tol, at the family's own radial
     power p+q[+l]-2."""
+    import numpy as np
+
     spec = spec or QuadratureSpec()
     exps = family_exponents(exponents, (2, 3))
     if not (0 < s < math.inf and 0 < t < math.inf):
@@ -263,8 +269,11 @@ def matrix_rearrangement_check(dim: int, seed: int, exponents: Sequence[int],
     rho entries are drawn positive (uniform [0.5, 1.5]) so no entry is
     cancellation-dominated and relative error is meaningful.
     """
+    import numpy as np
+
     dim = as_int(dim, "dim must be between 1 and 12 (dense spectral scale)",
                  lambda n: 1 <= n <= 12)
+    seed = as_int(seed, "seed must be an int >= 0", lambda n: n >= 0)
     exps = family_exponents(exponents, (2, 3))
     if s_shift and len(exps) != 3:
         raise ValueError("the s-shift variant applies to H families")

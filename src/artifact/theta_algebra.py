@@ -13,16 +13,20 @@ Two arithmetic modes share one element type:
 All operations are pure; elements are treated as immutable.  Outside data is
 checked once, by the public FourierElement constructor (parse_element calls
 it); the operations build canonical results through FourierElement._canonical.
+
+Products and float commutators run in one pair loop, except a float one of
+at least _ARRAY_PAIRS pairs, which runs in a numpy kernel that is bit for bit
+the loop.  Only that kernel imports numpy, so small products never load it.
 """
 from __future__ import annotations
 
 import cmath
 import itertools
 import math
+import operator
 from fractions import Fraction
-from typing import Dict, NamedTuple, Optional, Tuple, Union
-
-import numpy as np
+from itertools import repeat
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .exactnum import GaussianRational, as_int
 
@@ -51,6 +55,11 @@ class SelfAdjointnessError(ValueError):
     """exp_element requires a self-adjoint exponent."""
 
 
+def _rank(n) -> int:
+    """The torus rank n as a Python int >= 1."""
+    return as_int(n, "torus rank must be an int >= 1", lambda k: k >= 1)
+
+
 class _SkewFields(NamedTuple):
     n: int
     entries: Tuple[Tuple[Union[Fraction, float], ...], ...]
@@ -62,8 +71,7 @@ class SkewMatrix(_SkewFields):
     __slots__ = ()
 
     def __new__(cls, n: int, entries: Tuple[Tuple[Union[Fraction, float], ...], ...]):
-        if n <= 0:
-            raise ValueError("torus rank must be positive")
+        n = _rank(n)
         if len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError("entries must be an n-by-n array")
         # inf == -(-inf) passes the skew test, and every phase would be NaN
@@ -86,6 +94,7 @@ class SkewMatrix(_SkewFields):
 
     @classmethod
     def zero(cls, n: int) -> "SkewMatrix":
+        n = _rank(n)
         z = Fraction(0)
         return cls(n, tuple(tuple(z for _ in range(n)) for _ in range(n)))
 
@@ -131,6 +140,7 @@ class FourierElement:
     __slots__ = ("n", "coeffs", "mode")
 
     def __init__(self, n: int, coeffs: Dict[Index, Coeff], mode: str = "exact"):
+        n = _rank(n)
         if mode not in ("exact", "float"):
             raise ValueError("mode must be 'exact' or 'float'")
         clean: Dict[Index, Coeff] = {}
@@ -165,11 +175,13 @@ class FourierElement:
 
     @classmethod
     def unit(cls, n: int, mode: str = "exact") -> "FourierElement":
+        n = _rank(n)
         return cls(n, {tuple(0 for _ in range(n)): 1}, mode)
 
     @classmethod
     def generator(cls, n: int, axis: int, mode: str = "exact") -> "FourierElement":
         """The unitary generator e_axis (1-indexed), support {delta_axis}."""
+        n = _rank(n)
         axis = as_int(axis, f"axis must be an int from 1 to {n}", lambda j: 1 <= j <= n)
         idx = tuple(1 if j == axis - 1 else 0 for j in range(n))
         return cls(n, {idx: 1}, mode)
@@ -212,44 +224,118 @@ class FourierElement:
 
 # -- the deformed product and friends --------------------------------------
 
-def deformed_product(a: FourierElement, b: FourierElement, theta: SkewMatrix) -> FourierElement:
-    """Twisted convolution: coefficient at k is sum_{r+s=k} chi(r,s) a_r b_s."""
+# A float product or commutator of at least this many pairs runs in the
+# array kernel _float_twisted, which imports numpy; a smaller one runs in the
+# pair loop.  On a 2-core x86-64 host the loop takes about 1.6 us a pair and
+# the array kernel about 130 us plus 0.25 us a pair, so the loop is the faster
+# below about 120 pairs and 1.5 times as slow at 300, while importing numpy
+# costs as much as 10^5 loop pairs (the crossover table is in CHANGES.md).  At
+# 300 every product of an order-8 line-mode Gauss-Bonnet residual (at most
+# 17 x 16 = 272 pairs) stays in the loop, so neither that residual nor the
+# `gauss-bonnet` command loads numpy.
+_ARRAY_PAIRS = 300
+
+
+def _check_operands(a: FourierElement, b: FourierElement, theta: SkewMatrix) -> None:
     a._check_compatible(b)
     if theta.n != a.n:
         raise RankMismatchError("deformation matrix rank differs from elements")
-    if a.mode == "float":
-        return _float_twisted(a, b, theta, _product_phase)
-    out: Dict[Index, Coeff] = {}
-    for r, ar in a.coeffs.items():
-        for s, bs in b.coeffs.items():
-            k = tuple(r[i] + s[i] for i in range(a.n))
-            phase = chi(theta, r, s, exact=True)
-            out[k] = out.get(k, GaussianRational(0)) + phase * ar * bs
-    return FourierElement._canonical(a.n, out, a.mode)
+
+
+def deformed_product(a: FourierElement, b: FourierElement, theta: SkewMatrix) -> FourierElement:
+    """Twisted convolution: coefficient at k is sum_{r+s=k} chi(r,s) a_r b_s."""
+    _check_operands(a, b, theta)
+    if a.mode == "exact":
+        return _pair_loop(a, b, (chi(theta, r, s, exact=True)
+                                 for r in a.coeffs for s in b.coeffs))
+    if len(a.coeffs) * len(b.coeffs) >= _ARRAY_PAIRS:
+        return _float_twisted(a, b, theta, commute=False)
+    angles = _float_angles(theta, a, b)
+    return _pair_loop(a, b, map(complex, map(math.cos, angles), map(math.sin, angles)))
 
 
 def commutator(a: FourierElement, b: FourierElement, theta: SkewMatrix) -> FourierElement:
     """a b - b a: coefficient at k is sum_{r+s=k} 2i sin(pi <r, Theta s>) a_r b_s,
     since chi(s, r) is the conjugate of chi(r, s); exactly zero where every
     pairing vanishes.  Float mode makes one pass over the |a|*|b| pairs."""
-    a._check_compatible(b)
-    if theta.n != a.n:
-        raise RankMismatchError("deformation matrix rank differs from elements")
-    if a.mode == "float":
-        return _float_twisted(a, b, theta, _commutator_phase)
-    return deformed_product(a, b, theta) - deformed_product(b, a, theta)
+    _check_operands(a, b, theta)
+    if a.mode == "exact":
+        return deformed_product(a, b, theta) - deformed_product(b, a, theta)
+    if len(a.coeffs) * len(b.coeffs) >= _ARRAY_PAIRS:
+        return _float_twisted(a, b, theta, commute=True)
+    sines = map(math.sin, _float_angles(theta, a, b))
+    return _pair_loop(a, b, map(complex, repeat(0.0), map(operator.mul, repeat(2.0), sines)))
+
+
+def _over_pairs(op, xs, ys):
+    """op(x, y) for every pair in pair order: x over xs, then y over ys."""
+    return itertools.starmap(op, itertools.product(xs, ys))
+
+
+def _pair_loop(a: FourierElement, b: FourierElement, factors) -> FourierElement:
+    """sum_{r+s=k} f(r, s) a_r b_s one pair at a time, factors giving f(r, s)
+    in pair order (r over a, then s over b): each target summed in pair
+    order from the mode's zero, the targets in order of first appearance,
+    and the sums that vanish dropped.  The targets r + s, axis by axis, and
+    the terms (f(r, s) a_r) b_s are mapped over the pairs, so that only the
+    sums run in Python."""
+    zero = _ZERO[a.mode]
+    out: Dict[Index, Coeff] = {}
+    get = out.get
+    keys = zip(*(_over_pairs(operator.add, ra, sb)
+                 for ra, sb in zip(zip(*a.coeffs), zip(*b.coeffs))))
+    left = itertools.chain.from_iterable(map(repeat, a.coeffs.values(), repeat(len(b.coeffs))))
+    right = itertools.chain.from_iterable(repeat(tuple(b.coeffs.values()), len(a.coeffs)))
+    for k, term in zip(keys, map(operator.mul, map(operator.mul, factors, left), right)):
+        out[k] = get(k, zero) + term
+    return FourierElement._canonical(a.n, out, a.mode)
+
+
+def _rational_rows(theta: SkewMatrix) -> Optional[Tuple[Tuple[Tuple[int, ...], ...], int]]:
+    """(rows, den) with Theta = rows / den and integer rows, or None when an
+    entry is a float."""
+    if any(isinstance(x, float) for row in theta.entries for x in row):
+        return None
+    den = math.lcm(*(Fraction(x).denominator for row in theta.entries for x in row))
+    return tuple(tuple(int(Fraction(x) * den) for x in row) for row in theta.entries), den
+
+
+def _float_angles(theta: SkewMatrix, a: FourierElement, b: FourierElement) -> List[float]:
+    """pi q in pair order, q = <r, Theta s> rounded as chi rounds it, the
+    phases of the float pair loop.
+
+    Theta s is computed once per mode s of b, and q = 0 + r_1 (Theta s)_1 +
+    ... + r_n (Theta s)_n, in SkewMatrix.pairing's order of terms.  A
+    rational Theta pairs in integers, rounded once by the division; for a
+    float Theta the zero terms that pairing skips leave its sums unchanged,
+    since no sum from an int 0 is ever -0.0."""
+    rows, den = _rational_rows(theta) or (tuple(tuple(map(float, row))
+                                                for row in theta.entries), 1)
+    cols = [tuple(sum(map(operator.mul, row, s)) for row in rows) for s in b.coeffs]
+    q = repeat(0, len(a.coeffs) * len(b.coeffs))
+    for ra, ca in zip(zip(*a.coeffs), zip(*cols)):
+        q = map(operator.add, q, _over_pairs(operator.mul, ra, ca))
+    if den != 1:  # x / 1 is x, rounded as pi * x rounds it
+        q = map(operator.truediv, q, repeat(den))
+    return list(map(operator.mul, repeat(math.pi), q))
 
 
 def _pairings(theta: SkewMatrix, r: np.ndarray, s: np.ndarray) -> np.ndarray:
     """float(<r, Theta s>) for every row of r against every row of s, rounded
-    as SkewMatrix.pairing rounds it."""
-    entries = [x for row in theta.entries for x in row]
-    if not any(isinstance(x, float) for x in entries):
-        # a rational Theta pairs exactly; float() rounds the quotient once
-        den = math.lcm(*(Fraction(x).denominator for x in entries))
-        num = np.array([int(Fraction(x) * den) for x in entries], dtype=np.int64)
-        return (r @ num.reshape(theta.n, theta.n) @ s.T) / den
-    mat = np.array(entries, dtype=float).reshape(theta.n, theta.n)
+    as chi rounds it."""
+    import numpy as np
+
+    rational = _rational_rows(theta)
+    if rational:
+        rows, den = rational
+        bound = theta.n ** 2 * max(map(abs, itertools.chain(*rows)))
+        if max(bound * int(abs(r).max()) * int(abs(s).max()), den) < 2 ** 53:
+            # every integer here, and its float, is exact
+            return (r @ np.array(rows, dtype=np.int64) @ s.T) / den
+        # in Python integers, which int64 would overflow
+        q = r.astype(object) @ np.array(rows, dtype=object) @ s.T.astype(object)
+        return (q / den).astype(float)
+    mat = np.array(theta.entries, dtype=float)
     # pairing's order of terms; the zero terms it skips leave a sum unchanged
     q = np.zeros((len(r), len(s)))
     for i in range(theta.n):
@@ -264,37 +350,26 @@ def _pairings(theta: SkewMatrix, r: np.ndarray, s: np.ndarray) -> np.ndarray:
 _DENSE_BINS = 1 << 16
 
 
-def _index_array(a: FourierElement) -> np.ndarray:
-    """a's multi-indices as the rows of an int64 array, in key order."""
-    flat = itertools.chain.from_iterable(a.coeffs)
-    return np.fromiter(flat, np.int64, len(a.coeffs) * a.n).reshape(-1, a.n)
-
-
-def _product_phase(angle: np.ndarray):
-    # chi(r, s) = cmath.exp(1j * pi * q) = cos(pi q) + i sin(pi q)
-    return np.cos(angle), np.sin(angle)
-
-
-def _commutator_phase(angle: np.ndarray):
-    # chi(r, s) - chi(s, r) = 2i sin(pi q)
-    return 0.0, 2.0 * np.sin(angle)
-
-
 def _float_twisted(a: FourierElement, b: FourierElement, theta: SkewMatrix,
-                   phase) -> FourierElement:
-    """sum_{r+s=k} phase(pi <r, Theta s>) a_r b_s over all |a|*|b| pairs at
-    once, phase giving the real and imaginary parts of the pair's factor.
+                   commute: bool) -> FourierElement:
+    """The pair loop of deformed_product (commute false) or of commutator
+    (commute true) over all |a|*|b| pairs at once, in numpy.
 
-    With _product_phase this is the deformed product, bit for bit the pair
-    loop over chi it replaced (kept as the reference in
-    tests/test_float_product.py): the same phases, complex products in
-    Python's real arithmetic, each target summed in pair order by bincount,
-    and the targets in order of first appearance.  A factor that vanishes
-    on every pair leaves only zero sums, which are dropped."""
+    It is bit for bit the pair loop (tests/test_float_product.py): the same
+    phases cos and sin (or 0 and 2 sin) of pi times the pairing rounded as
+    chi rounds it, complex products in Python's real arithmetic, each target
+    summed in pair order by bincount, and the targets in order of first
+    appearance.  A factor that vanishes on every pair leaves only zero sums,
+    which are dropped."""
+    import numpy as np
+
     if not a.coeffs or not b.coeffs:
         return FourierElement._canonical(a.n, {}, "float")
-    r, s = _index_array(a), _index_array(b)
-    cos, sin = phase(math.pi * _pairings(theta, r, s))
+    r, s = (np.fromiter(itertools.chain.from_iterable(e.coeffs), np.int64,
+                        len(e.coeffs) * e.n).reshape(-1, e.n) for e in (a, b))
+    angle = math.pi * _pairings(theta, r, s)
+    # chi(r, s) = cos(pi q) + i sin(pi q); chi(r, s) - chi(s, r) = 2i sin(pi q)
+    cos, sin = (0.0, 2.0 * np.sin(angle)) if commute else (np.cos(angle), np.sin(angle))
     ac = np.fromiter(a.coeffs.values(), complex, len(a.coeffs))[:, None]
     bc = np.fromiter(b.coeffs.values(), complex, len(b.coeffs))[None, :]
     # (phase * a_r) * b_s, each product as (x+iy)(u+iv) = (xu - yv) + i(xv + yu)

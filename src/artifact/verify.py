@@ -15,8 +15,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, NamedTuple, Optional, Tuple
 
-import numpy as np
-
 from .exactnum import GaussianRational
 from .theta_algebra import FourierElement, SkewMatrix, deformed_product, star, trace
 from .symbol_engine import canonicalize, homogeneity_degrees, resolvent_b
@@ -90,6 +88,8 @@ def _max_coeff_diff(a: FourierElement, b: FourierElement) -> float:
 
 def _algebra(seed: int) -> Iterator[float]:
     """Worst violation of each law over 100 random triples, exact mode first."""
+    import numpy as np
+
     for mode in ("exact", "float"):
         rng = np.random.default_rng(seed)
         worst = dict.fromkeys(_LAWS, 0.0)
@@ -142,6 +142,8 @@ def _quadrature_channel_value(pieces, s: float, t: float = 1.0) -> float:
 
 
 def _integrals(seed: int) -> Iterator[float]:
+    import numpy as np
+
     report = derive_curvature(2, "kdelta")
     pieces = dim2_quadrature_decomposition("K")
     log_spaced = (10.0 ** (-1 + 2 * i / 19) for i in range(20))  # across [0.1, 10]

@@ -503,6 +503,50 @@ def test_cold_commands_do_not_load_sympy():
     assert blocked == run(script, "--json")
 
 
+def test_gauss_bonnet_and_the_symbols_suite_never_load_numpy(tmp_path):
+    # every twisted product of a line-mode residual runs in the pair loop, so
+    # with numpy's import blocked these print what they print with it present
+    hfile = tmp_path / "h.txt"
+    hfile.write_text("1,0 : 0.04,0\n-1,0 : 0.04,0\n")
+    commands = [["gauss-bonnet"], ["gauss-bonnet", str(hfile)],
+                ["verify", "--suite", "symbols"]]
+    code = ("import contextlib, io, json, sys\n"
+            "{block}"
+            "import artifact.cli as cli\n"
+            "outputs = []\n"
+            f"for argv in {commands!r}:\n"
+            "    buf = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(buf):\n"
+            "        assert cli.run(argv) == 0, argv\n"
+            "    outputs.append(buf.getvalue())\n"
+            "outputs.append(sys.modules.get('numpy') is None)  # never loaded\n"
+            "print(json.dumps(outputs))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+
+    def run(block):
+        return json.loads(subprocess.run([sys.executable, "-c", code.format(block=block)],
+                                         env=env, capture_output=True, text=True,
+                                         check=True).stdout)
+
+    blocked = run("sys.modules['numpy'] = None  # import numpy now fails\n")
+    assert blocked == run("")
+    assert all(blocked) and len(blocked) == 4
+
+
+def test_the_engine_imports_numpy_where_an_array_pays():
+    # the algebra, the oracles and the checks load numpy inside the functions
+    # that use it; the first quadrature is one of them
+    code = ("import sys\n"
+            "import artifact.theta_algebra, artifact.numeric_oracle, artifact.verify\n"
+            "print('numpy' in sys.modules)\n"
+            "artifact.numeric_oracle.quad_r_integral((2, 1), 2.0)\n"
+            "print('numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["False", "True"]
+
+
 def test_internal_error_reports_stage_and_exits_three(runner, monkeypatch):
     def boom(dim, operator):
         raise RuntimeError("synthetic failure")

@@ -1,23 +1,25 @@
-"""The float deformed product against the pair loop it replaced.
+"""The float deformed product and commutator against the chi pair loop.
 
 ``reference_product`` is the dict loop over all pairs, with phases from
-``chi``.  The array product must reproduce it bit for bit: the same
-coefficients, the same dropped zeros and the same key order, which later
-order-dependent sums (traces, l1 norms) inherit.  The commutator runs in
-the same kernel with the pair factor 2i sin(pi <r, Theta s>); it must agree
-with the difference of the two products to rounding, and vanish exactly
-where every pairing does.
+``chi``.  Both float kernels must reproduce it bit for bit: the pair loop
+below ``_ARRAY_PAIRS`` pairs and the numpy kernel from there on, with the
+same coefficients, the same dropped zeros and the same key order, which
+later order-dependent sums (traces, l1 norms) inherit.  The commutator's
+pair factor is 2i sin(pi <r, Theta s>) = chi(r, s) - conj(chi(r, s)); it
+must be bit for bit ``reference_commutator``, agree with the difference of
+the two products to rounding, and vanish exactly where every pairing does.
 """
 
 import math
 import struct
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from artifact.theta_algebra import (
-    FourierElement, SkewMatrix, chi, commutator, deformed_product, exp_element,
+    _ARRAY_PAIRS, FourierElement, SkewMatrix, chi, commutator, deformed_product, exp_element,
 )
 
 THETAS = [0.0, 1.0 / 3.0, 1.0 / math.sqrt(2.0), Fraction(1, 3)]
@@ -30,6 +32,16 @@ def reference_product(a: FourierElement, b: FourierElement, theta: SkewMatrix):
             k = tuple(r[i] + s[i] for i in range(a.n))
             phase = chi(theta, r, s)
             out[k] = out.get(k, 0j) + phase * ar * bs
+    return FourierElement(a.n, out, "float")
+
+
+def reference_commutator(a: FourierElement, b: FourierElement, theta: SkewMatrix):
+    out = {}
+    for r, ar in a.coeffs.items():
+        for s, bs in b.coeffs.items():
+            k = tuple(r[i] + s[i] for i in range(a.n))
+            phase = chi(theta, r, s)
+            out[k] = out.get(k, 0j) + (phase - phase.conjugate()) * ar * bs
     return FourierElement(a.n, out, "float")
 
 
@@ -51,6 +63,26 @@ def random_element(n: int, rng: np.random.Generator, max_modes: int,
         idx = tuple(int(x) for x in rng.integers(-reach, reach + 1, size=n))
         coeffs[idx] = complex(rng.normal(), rng.normal())
     return FourierElement(n, coeffs, "float")
+
+
+def element_of(n: int, rng: np.random.Generator, modes: int, reach: int) -> FourierElement:
+    """An element with exactly `modes` modes in [-reach, reach]^n."""
+    coeffs = {}
+    while len(coeffs) < modes:
+        idx = tuple(int(x) for x in rng.integers(-reach, reach + 1, size=n))
+        coeffs[idx] = complex(rng.normal(), rng.normal())
+    return FourierElement(n, coeffs, "float")
+
+
+def shape(pairs: int):
+    """Mode counts (p, q) with p * q = pairs and p the largest divisor up to
+    the square root."""
+    p = max(d for d in range(1, math.isqrt(pairs) + 1) if pairs % d == 0)
+    return p, pairs // p
+
+
+# both sides of the kernel threshold, and a product of thousands of pairs
+PAIR_COUNTS = [_ARRAY_PAIRS - 1, _ARRAY_PAIRS, _ARRAY_PAIRS + 1, 3000]
 
 
 def bits(elem: FourierElement):
@@ -79,6 +111,55 @@ def test_float_product_with_far_apart_modes_matches_the_pair_loop(n):
         a = random_element(n, rng, 12, reach=10**6)
         b = random_element(n, rng, 12, reach=10**6)
         assert bits(deformed_product(a, b, th)) == bits(reference_product(a, b, th))
+
+
+@pytest.mark.parametrize("pairs", PAIR_COUNTS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("theta", THETAS, ids=["zero", "third", "irrational", "rational"])
+def test_both_kernels_match_the_pair_loop_bit_for_bit(theta, n, pairs):
+    # dense targets (a lattice box of bins) and far-apart ones (ranked bins)
+    rng = np.random.default_rng(1000 * n + pairs + THETAS.index(theta))
+    p, q = shape(pairs)
+    for reach in (40, 10**6):
+        th = skew(n, theta, rng)
+        a, b = element_of(n, rng, p, reach), element_of(n, rng, q, reach)
+        assert bits(deformed_product(a, b, th)) == bits(reference_product(a, b, th))
+        assert bits(commutator(a, b, th)) == bits(reference_commutator(a, b, th))
+
+
+@pytest.mark.parametrize("operation", [deformed_product, commutator])
+def test_the_array_kernel_starts_at_its_threshold(monkeypatch, operation):
+    # only the array kernel imports numpy: blocked, it fails from T pairs on
+    rng = np.random.default_rng(11)
+    th = SkewMatrix.standard_2d(1.0 / math.sqrt(2.0))
+    small = [element_of(2, rng, m, 40) for m in shape(_ARRAY_PAIRS - 1)]
+    large = [element_of(2, rng, m, 40) for m in shape(_ARRAY_PAIRS)]
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    reference = reference_product if operation is deformed_product else reference_commutator
+    assert bits(operation(*small, th)) == bits(reference(*small, th))
+    with pytest.raises(ImportError):
+        operation(*large, th)
+
+
+@pytest.mark.parametrize("others", [0, 3, 19], ids=["1-pair", "16-pairs", "400-pairs"])
+def test_a_rational_theta_pairs_without_overflow(others):
+    # 10^4 * (10^12 - 1) * 10^4 leaves int64, and float64's exact integers:
+    # the array kernel gave 0.401 - 0.916i for chi((10^4, 0), (0, 10^4)),
+    # which is 0.99999995 - 0.000314i
+    th = SkewMatrix.standard_2d(Fraction(10**12 - 1, 10**12))
+    rng = np.random.default_rng(12)
+    # the other modes lie within 100 of 0, so only that pair lands on (10^4, 10^4)
+    a = FourierElement(2, {(10**4, 0): 1 + 0j, **element_of(2, rng, others, 100).coeffs},
+                       "float")
+    b = FourierElement(2, {(0, 10**4): 1 + 0j, **element_of(2, rng, others, 100).coeffs},
+                       "float")
+    assert (len(a.coeffs) * len(b.coeffs) >= _ARRAY_PAIRS) == (others == 19)
+    got = deformed_product(a, b, th)
+    assert bits(got) == bits(reference_product(a, b, th))
+    assert bits(commutator(a, b, th)) == bits(reference_commutator(a, b, th))
+    phase = chi(th, (10**4, 0), (0, 10**4))
+    assert abs(phase - (0.99999995 - 0.000314j)) < 1e-6
+    assert got.coeffs[(10**4, 10**4)] == phase
 
 
 @pytest.mark.parametrize("theta", THETAS, ids=["zero", "third", "irrational", "rational"])

@@ -51,6 +51,17 @@ ENTRY_POINTS = {
     "matrix_rearrangement_check-dim": (
         lambda n: matrix_rearrangement_check(n, 0, (2, 1)), 2,
         ValueError, "dim must be between 1 and 12 (dense spectral scale)"),
+    "matrix_rearrangement_check-seed": (
+        lambda n: matrix_rearrangement_check(2, n, (2, 1)), 1,
+        ValueError, "seed must be an int >= 0"),
+    **{f"{name}-n": (call, 2, ValueError, "torus rank must be an int >= 1") for name, call in [
+        ("FourierElement", lambda n: FourierElement(n, {(1, 0): 1})),
+        ("FourierElement.zero", FourierElement.zero),
+        ("FourierElement.unit", FourierElement.unit),
+        ("FourierElement.generator", lambda n: FourierElement.generator(n, 1)),
+        ("SkewMatrix", lambda n: SkewMatrix(n, THETA.entries)),
+        ("SkewMatrix.zero", SkewMatrix.zero),
+    ]},
     "radial_integral-exponents": (lambda n: radial_integral((n, 1), 2), 1,
                                   SignatureError, "family exponents must be integers"),
     "radial_integral-m": (lambda n: radial_integral((2, 1), n), 2,
@@ -70,9 +81,22 @@ def test_a_numpy_integer_is_read_as_an_int(name):
 @pytest.mark.parametrize("name", ENTRY_POINTS)
 def test_a_bool_float_or_str_is_an_error_naming_it(name, kind):
     # derivation, generator and resolvent_b took True and 1.0; derivation
-    # died on a tuple index for 1.5 and the matrix check inside numpy
+    # died on a tuple index for 1.5 and the matrix check inside numpy; the
+    # torus rank True was taken, and 2.0 died inside range
     call, good, error, message = ENTRY_POINTS[name]
     bad = {"bool": True, "float": float(good), "str": str(good)}[kind]
+    with pytest.raises(error, match=re.escape(f"{message}, got {bad!r}")):
+        call(bad)
+
+
+# the torus rank and the seed below their range; the seed died inside numpy
+OUT_OF_RANGE = [(name, n) for name in ENTRY_POINTS if name.endswith("-n")
+                for n in (0, -1)] + [("matrix_rearrangement_check-seed", -1)]
+
+
+@pytest.mark.parametrize("name, bad", OUT_OF_RANGE)
+def test_an_int_out_of_range_is_an_error_naming_it(name, bad):
+    call, _, error, message = ENTRY_POINTS[name]
     with pytest.raises(error, match=re.escape(f"{message}, got {bad!r}")):
         call(bad)
 
